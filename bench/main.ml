@@ -201,50 +201,44 @@ let print_summary () =
   Printf.printf "loops under 128 registers at Lev4, issue-8: %.0f/40 (37/40)\n"
     (g "loops_under_128_regs_lev4_issue8")
 
-(* Leave-one-out ablation of the Lev4 pipeline at issue-8. Bases come
-   from the process-wide cache; subjects are evaluated on the pool. *)
+(* Leave-one-out ablation of the Lev4 pipeline at issue-8: each variant
+   is Lev4's pass list with one transformation removed, and one
+   [Level.apply_all] per subject runs their shared prefix once. Bases
+   and conv prefixes come from the process-wide caches; subjects are
+   evaluated on the pool. *)
 let print_ablation () =
+  let lev4 = Level.pipeline Level.Lev4 in
+  let without step = List.filter (fun s -> s <> step) lev4 in
   let variants =
     [
-      ("full Lev4", fun p -> Level.apply Level.Lev4 p);
-      ( "no renaming",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:true ~ind:true ~search:true
-          ~rename:false ~combine:true ~strength:true ~thr:true );
-      ( "no accumulator exp.",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:false ~ind:true ~search:true
-          ~rename:true ~combine:true ~strength:true ~thr:true );
-      ( "no induction exp.",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:true ~ind:false ~search:true
-          ~rename:true ~combine:true ~strength:true ~thr:true );
-      ( "no search exp.",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:true ~ind:true ~search:false
-          ~rename:true ~combine:true ~strength:true ~thr:true );
-      ( "no combining",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:true ~ind:true ~search:true
-          ~rename:true ~combine:false ~strength:true ~thr:true );
-      ( "no strength red.",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:true ~ind:true ~search:true
-          ~rename:true ~combine:true ~strength:false ~thr:true );
-      ( "no tree height red.",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:true ~ind:true ~search:true
-          ~rename:true ~combine:true ~strength:true ~thr:false );
+      ("full Lev4", lev4);
+      ("no renaming", without Level.Rename);
+      ("no accumulator exp.", without Level.Accum_expand);
+      ("no induction exp.", without Level.Ind_expand);
+      ("no search exp.", without Level.Search_expand);
+      ("no combining", without Level.Combine);
+      ("no strength red.", without Level.Strength);
+      ("no tree height red.", without Level.Tree_height);
     ]
+  in
+  let per_subject =
+    Impact_exec.Pool.map_list
+      (fun (s : Experiment.subject) ->
+        let base = Experiment.base_measurement_with bench_opts s in
+        Level.apply_all ~applied:[ Level.Scalar ] (List.map snd variants)
+          (Experiment.conv_prefix s)
+        |> List.map (fun p ->
+             let p = Impact_sched.Superblock.run p in
+             let p = Impact_sched.List_sched.run Machine.issue_8 p in
+             let r = Impact_sim.Sim.run Machine.issue_8 p in
+             float_of_int base.Compile.cycles /. float_of_int r.Impact_sim.Sim.cycles))
+      subjects
   in
   Printf.printf "Ablation: average issue-8 speedup of Lev4 with one transformation removed\n";
   Printf.printf "%s\n" (String.make 72 '-');
-  List.iter
-    (fun (name, pipeline) ->
-      let speedups =
-        Impact_exec.Pool.map_list
-          (fun (s : Experiment.subject) ->
-            let base = Experiment.base_measurement_with bench_opts s in
-            let p = pipeline (Impact_fir.Lower.lower s.Experiment.ast) in
-            let p = Impact_sched.Superblock.run p in
-            let p = Impact_sched.List_sched.run Machine.issue_8 p in
-            let r = Impact_sim.Sim.run Machine.issue_8 p in
-            float_of_int base.Compile.cycles /. float_of_int r.Impact_sim.Sim.cycles)
-          subjects
-      in
+  List.iteri
+    (fun k (name, _) ->
+      let speedups = List.map (fun row -> List.nth row k) per_subject in
       let avg = List.fold_left ( +. ) 0.0 speedups /. float_of_int (List.length speedups) in
       Printf.printf "%-24s %.2f\n%!" name avg)
     variants

@@ -22,11 +22,18 @@ type measurement = {
   result : Impact_sim.Sim.result;
 }
 
-let transform_with (opts : Opts.t) (level : Level.t) (p : Prog.t) : Prog.t =
+let transform_all_with ?applied (opts : Opts.t) (levels : Level.t list) (p : Prog.t)
+    : Prog.t list =
   Impact_obs.Obs.stage "transform" (fun () ->
-    let p = Level.apply ?unroll_factor:opts.Opts.unroll level p in
-    Impact_obs.Obs.span ~cat:"sched" "sched.superblock" (fun () ->
-      Impact_sched.Superblock.run p))
+    Level.apply_all ?applied
+      (List.map (Level.pipeline ?unroll_factor:opts.Opts.unroll) levels)
+      p
+    |> List.map (fun p ->
+         Impact_obs.Obs.span ~cat:"sched" "sched.superblock" (fun () ->
+           Impact_sched.Superblock.run p)))
+
+let transform_with (opts : Opts.t) (level : Level.t) (p : Prog.t) : Prog.t =
+  match transform_all_with opts [ level ] p with [ p ] -> p | _ -> assert false
 
 let schedule_with (opts : Opts.t) (machine : Machine.t) (p : Prog.t) : Prog.t =
   match opts.Opts.sched with
@@ -34,7 +41,10 @@ let schedule_with (opts : Opts.t) (machine : Machine.t) (p : Prog.t) : Prog.t =
     Impact_obs.Obs.stage "schedule" (fun () ->
       Impact_obs.Obs.span ~cat:"sched" "sched.list" (fun () ->
         Impact_sched.List_sched.run machine p))
-  | `Pipe -> Impact_pipe.Pipe.run machine p
+  | `Pipe ->
+    (* Pipe draws fresh registers and loop ids: a fork keeps a program
+       shared across machines from depending on which machine ran first. *)
+    Impact_pipe.Pipe.run machine (Prog.fork p)
 
 (* Simulation dispatch on the machine's core axis: the in-order
    interlocked pipeline (lib/sim) or the out-of-order ROB/renaming core

@@ -16,16 +16,24 @@ type measurement = {
   result : Impact_sim.Sim.result;
 }
 
+val transform_all_with :
+  ?applied:Level.step list -> Opts.t -> Level.t list -> Prog.t -> Prog.t list
+(** The machine-independent pipeline prefix for several levels at once:
+    each level's transformations ({!Level.apply_all}, so a shared prefix
+    runs once) plus superblock formation. [p] is the result of [applied]
+    (default none), a prefix of every level's pipeline. Each result is
+    cacheable per (program, level, unroll) and shareable across machines;
+    only [Opts.unroll] is read. *)
+
 val transform_with : Opts.t -> Level.t -> Prog.t -> Prog.t
-(** The machine-independent pipeline prefix: the level's transformations
-    plus superblock formation. Cacheable per (program, level, unroll)
-    and shareable across machines; only [Opts.unroll] is read. *)
+(** [transform_all_with] on one level. *)
 
 val schedule_with : Opts.t -> Machine.t -> Prog.t -> Prog.t
 (** Schedule a transformed program for the target machine per
     [Opts.sched]: [`List] is plain list scheduling, [`Pipe]
     software-pipelines every eligible innermost loop via
-    {!Impact_pipe.Pipe.run} and list-schedules the rest. *)
+    {!Impact_pipe.Pipe.run} (on a {!Prog.fork}, so [p] is never
+    renumbered) and list-schedules the rest. *)
 
 val simulate :
   ?fuel:int -> Machine.t -> Prog.t -> Impact_sim.Sim.result

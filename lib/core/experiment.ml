@@ -4,17 +4,22 @@
    register usage.
 
    The matrix is evaluated on a domain work pool (Impact_exec.Pool),
-   one task per subject, so every task owns its lowered program and no
-   IR state is shared across domains. Within a subject the machine-
-   independent pipeline prefix ([Compile.transform_with]) is computed at
-   most once per (level, opts) and shared across all machine
-   configurations — and skipped entirely when every machine's cell is
-   served from the measurement cache — and the issue-1 Conv base
+   one task per subject. Every level's pipeline starts with the same
+   unroll-independent conv step, so each subject's lowering after that
+   step is memoized process-wide ([conv_prefix], keyed by subject name)
+   and handed out only as forks ([Prog.fork] copies the fresh-name
+   counters, a program's only mutable state), so no domain ever
+   transforms a program another can see. Within a subject the levels
+   that still need work continue from one such fork through
+   [Compile.transform_all_with], which runs each pass prefix the levels
+   share once and forks it where they diverge; each level's program is
+   then shared across all machine configurations. The issue-1 Conv base
    measurement is served from a process-wide cache keyed by (subject
    name, unroll, fuel) so repeated sweeps (summary, ablation, issue
-   sweep) pay for it once. Cells are returned in the same deterministic
-   order as the sequential evaluation: subjects in input order,
-   machine-major within a subject.
+   sweep) pay for it once; [clear_base_cache] empties both. Every
+   result is identical to a fresh lowering compiled cell by cell. Cells
+   are returned in the same deterministic order as the sequential
+   evaluation: subjects in input order, machine-major within a subject.
 
    An optional measurement cache ([set_cache]) is consulted before any
    per-cell work is scheduled; Impact_svc.Service installs hooks backed
@@ -76,32 +81,60 @@ let default_on_poison p =
        p.psubject (Level.to_string p.plevel) p.pmachine);
   flush stderr
 
-(* ---- Base-measurement cache ---- *)
+(* ---- Conv-prefix memo and base-measurement cache ---- *)
 
-let base_mutex = Mutex.create ()
+let memo_mutex = Mutex.create ()
+
+(* Every level's pipeline starts with the same unroll-independent step. *)
+let conv_steps = [ Level.Scalar ]
+
+(* Keyed by subject name; an entry also records the AST it was lowered
+   from and serves only that same (physical) AST, so a different program
+   reusing a name is recomputed rather than confused with it. *)
+let conv_memo : (string, Impact_fir.Ast.program * Prog.t) Hashtbl.t = Hashtbl.create 64
 
 let base_cache : (string * int option * int option, Compile.measurement) Hashtbl.t =
   Hashtbl.create 64
 
 let clear_base_cache () =
-  Mutex.lock base_mutex;
-  Hashtbl.reset base_cache;
-  Mutex.unlock base_mutex
+  Mutex.protect memo_mutex (fun () ->
+    Hashtbl.reset conv_memo;
+    Hashtbl.reset base_cache)
 
-(* The issue-1 Conv measurement for a subject, computed from a fresh
-   lowering (so the cached value does not depend on who asks first) and
-   cached for the life of the process; the persistent measurement cache
-   (when installed) is consulted before computing. *)
+let conv_prefix (s : subject) : Prog.t =
+  let find () =
+    match Hashtbl.find_opt conv_memo s.sname with
+    | Some (ast, p) when ast == s.ast -> Some p
+    | _ -> None
+  in
+  let p =
+    match Mutex.protect memo_mutex find with
+    | Some p -> p
+    | None ->
+      let p =
+        Impact_obs.Obs.stage "transform" (fun () ->
+          List.hd (Level.apply_all [ conv_steps ] (Impact_fir.Lower.lower s.ast)))
+      in
+      (* First writer wins: concurrent computations are identical. *)
+      Mutex.protect memo_mutex (fun () ->
+        match find () with
+        | Some p -> p
+        | None ->
+          Hashtbl.replace conv_memo s.sname (s.ast, p);
+          p)
+  in
+  Prog.fork p
+
+let transform_all_with (opts : Opts.t) (levels : Level.t list) (s : subject) =
+  Compile.transform_all_with ~applied:conv_steps opts levels (conv_prefix s)
+
+(* The issue-1 Conv measurement for a subject, cached for the life of the
+   process; the persistent measurement cache (when installed) is
+   consulted before computing. *)
 let base_measurement_with (opts : Opts.t) (s : subject) : Compile.measurement =
   let bopts = Opts.base opts in
   let key = (s.sname, bopts.Opts.unroll, bopts.Opts.fuel) in
-  let cached =
-    Mutex.lock base_mutex;
-    let r = Hashtbl.find_opt base_cache key in
-    Mutex.unlock base_mutex;
-    r
-  in
-  match cached with
+  match Mutex.protect memo_mutex (fun () -> Hashtbl.find_opt base_cache key) with
   | Some m -> m
   | None ->
     let m =
@@ -109,15 +142,13 @@ let base_measurement_with (opts : Opts.t) (s : subject) : Compile.measurement =
       | Some m -> m
       | None ->
         let m =
-          Compile.measure_with bopts Level.Conv Machine.issue_1
-            (Impact_fir.Lower.lower s.ast)
+          Compile.schedule_and_measure_with bopts Level.Conv Machine.issue_1
+            (List.hd (transform_all_with bopts [ Level.Conv ] s))
         in
         cache_store s bopts Level.Conv Machine.issue_1 m;
         m
     in
-    Mutex.lock base_mutex;
-    Hashtbl.replace base_cache key m;
-    Mutex.unlock base_mutex;
+    Mutex.protect memo_mutex (fun () -> Hashtbl.replace base_cache key m);
     m
 
 (* Run one subject across levels and machines; poisoned cells (fuel
@@ -134,17 +165,22 @@ let run_subject_full (opts : Opts.t) (machines : Machine.t list)
       [ { psubject = s.sname; plevel = Level.Conv;
           pmachine = Machine.issue_1.Machine.name } ] )
   | base ->
-    (* Machine-independent prefix, at most once per level, shared by
-       machines and forced only on the first cache miss of that level.
-       Each level starts from its own fresh lowering so the id streams
-       (and hence allocator tie-breaks) match a standalone
-       [Compile.measure_with] of that cell exactly. *)
-    let transformed =
+    let cached =
       List.map
-        (fun level ->
-          ( level,
-            lazy (Compile.transform_with opts level (Impact_fir.Lower.lower s.ast)) ))
+        (fun machine ->
+          (machine, List.map (fun level -> (level, cache_lookup s opts level machine)) levels))
+        machines
+    in
+    (* The machine-independent prefix of every level some machine still
+       needs, in one [transform_all_with] from the subject's memoized conv
+       prefix, shared by the machines. *)
+    let missing =
+      List.filter
+        (fun level -> List.exists (fun (_, ms) -> List.assoc level ms = None) cached)
         levels
+    in
+    let transformed =
+      if missing = [] then [] else List.combine missing (transform_all_with opts missing s)
     in
     let poisons = ref [] in
     let cell_of_measurement level machine (m : Compile.measurement) =
@@ -161,15 +197,15 @@ let run_subject_full (opts : Opts.t) (machines : Machine.t list)
     in
     let cells =
       List.concat_map
-        (fun machine ->
+        (fun (machine, ms) ->
           List.filter_map
-            (fun (level, tp) ->
-              match cache_lookup s opts level machine with
+            (fun (level, cached) ->
+              match cached with
               | Some m -> Some (cell_of_measurement level machine m)
               | None -> (
                 match
                   Compile.schedule_and_measure_with opts level machine
-                    (Lazy.force tp)
+                    (List.assoc level transformed)
                 with
                 | m ->
                   cache_store s opts level machine m;
@@ -180,8 +216,8 @@ let run_subject_full (opts : Opts.t) (machines : Machine.t list)
                       pmachine = machine.Machine.name }
                     :: !poisons;
                   None))
-            transformed)
-        machines
+            ms)
+        cached
     in
     (cells, List.rev !poisons)
 

@@ -47,6 +47,18 @@ val set_cache : cache option -> unit
 
 val total_regs : cell -> int
 
+val conv_prefix : subject -> Prog.t
+(** The subject's lowering after [Level.Scalar], the step that starts
+    every level's pipeline whatever the unroll factor. Computed once per
+    subject and memoized for the life of the process (keyed by subject
+    name, for that subject's AST); every call returns a fresh
+    {!Prog.fork}, never the memo's own program. *)
+
+val transform_all_with : Opts.t -> Level.t list -> subject -> Prog.t list
+(** [Compile.transform_all_with] for the subject's levels, continuing
+    from a fork of {!conv_prefix}: identical to transforming a fresh
+    lowering level by level. *)
+
 val base_measurement_with : Opts.t -> subject -> Compile.measurement
 (** The issue-1 Conv base measurement for a subject under
     [Opts.base opts] (always list-scheduled), cached for the life of the
@@ -55,6 +67,8 @@ val base_measurement_with : Opts.t -> subject -> Compile.measurement
     [Impact_sim.Sim.Timeout]. *)
 
 val clear_base_cache : unit -> unit
+(** Empty the base-measurement cache and the {!conv_prefix} memo, so the
+    next evaluation starts cold. *)
 
 val run_subject_with :
   ?on_poison:(poisoned -> unit) ->
@@ -63,10 +77,10 @@ val run_subject_with :
   Level.t list ->
   subject ->
   cell list
-(** Evaluate one subject. The machine-independent transform prefix is
-    computed at most once per level, shared across machines, and skipped
-    entirely when every cell of that level is served from the
-    measurement cache; cells that time out are reported through
+(** Evaluate one subject. The machine-independent transform prefix of
+    every level not fully served from the measurement cache is computed
+    once, from one fork of {!conv_prefix} ({!transform_all_with}), and
+    shared across machines; cells that time out are reported through
     [on_poison] (default: a stderr warning) and omitted from the
     result. [Opts.sched] selects the per-machine scheduler
     ({!Compile.schedule_with}); the base measurement is always

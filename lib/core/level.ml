@@ -71,28 +71,80 @@ let record_unroll_factors (p : Prog.t) =
         end)
       (Block.loops p.Prog.entry)
 
-(* Custom pipeline with individual transformations switchable; used by the
-   level pipeline and by the leave-one-out ablation benchmarks. *)
-let apply_custom ?unroll_factor ~unroll ~accum ~ind ~search ~rename ~combine
-    ~strength ~thr (p : Prog.t) : Prog.t =
-  let p = pass "conv" Impact_opt.Conv.run p in
-  if not unroll then p
-  else begin
-    let p = pass "unroll" (Unroll.run ?factor:unroll_factor) p in
-    record_unroll_factors p;
-    let p = pass "cleanup" cleanup p in
-    let p = if accum then pass "accum_expand" Accum_expand.run p else p in
-    let p = if ind then pass "ind_expand" Ind_expand.run p else p in
-    let p = if search then pass "search_expand" Search_expand.run p else p in
-    let p = if rename then pass "rename" Rename.run p else p in
-    let p = if combine then pass "combine" Combine.run p else p in
-    let p = if strength then pass "strength" Strength.run p else p in
-    let p = if thr then pass "tree_height" Tree_height.run p else p in
-    pass "cleanup" cleanup p
-  end
+(* One transformation of a pipeline. [Unroll] carries the requested
+   factor ([None]: Unroll's default). *)
+type step =
+  | Scalar
+  | Unroll of int option
+  | Cleanup
+  | Accum_expand
+  | Ind_expand
+  | Search_expand
+  | Rename
+  | Combine
+  | Strength
+  | Tree_height
+
+(* Each step's telemetry name and transformation. *)
+let pass_of = function
+  | Scalar -> ("conv", Impact_opt.Conv.run)
+  | Unroll factor -> ("unroll", Unroll.run ?factor)
+  | Cleanup -> ("cleanup", cleanup)
+  | Accum_expand -> ("accum_expand", Accum_expand.run)
+  | Ind_expand -> ("ind_expand", Ind_expand.run)
+  | Search_expand -> ("search_expand", Search_expand.run)
+  | Rename -> ("rename", Rename.run)
+  | Combine -> ("combine", Combine.run)
+  | Strength -> ("strength", Strength.run)
+  | Tree_height -> ("tree_height", Tree_height.run)
+
+let run_step step p =
+  let name, f = pass_of step in
+  let p = pass name f p in
+  (match step with Unroll _ -> record_unroll_factors p | _ -> ());
+  p
+
+let pipeline ?unroll_factor level =
+  let unrolled middle = (Scalar :: Unroll unroll_factor :: Cleanup :: middle) @ [ Cleanup ] in
+  match level with
+  | Conv -> [ Scalar ]
+  | Lev1 -> unrolled []
+  | Lev2 -> unrolled [ Rename ]
+  | Lev3 -> unrolled [ Rename; Combine; Strength; Tree_height ]
+  | Lev4 ->
+    unrolled
+      [ Accum_expand; Ind_expand; Search_expand; Rename; Combine; Strength; Tree_height ]
+
+(* The pipelines form a trie: every step runs once per distinct prefix,
+   on a fork of that prefix's result, so a shared prefix is computed once
+   and each branch continues exactly as a fresh run of its own pipeline
+   would. [p] itself is never transformed in place. *)
+let apply_all ?(applied = []) pipelines p =
+  let rec remaining applied pl =
+    match (applied, pl) with
+    | [], pl -> pl
+    | a :: applied, s :: pl when a = s -> remaining applied pl
+    | _ -> invalid_arg "Level.apply_all: pipeline does not start with the applied steps"
+  in
+  let out = Array.make (List.length pipelines) p in
+  (* [branches]: (index of the pipeline, its steps still to run), for
+     every pipeline whose completed prefix produced [p]. *)
+  let rec eval p branches =
+    let finished, pending = List.partition (fun (_, steps) -> steps = []) branches in
+    List.iter (fun (i, _) -> out.(i) <- Prog.fork p) finished;
+    diverge p pending
+  and diverge p = function
+    | [] -> ()
+    | (_, step :: _) :: _ as pending ->
+      let here, later = List.partition (fun (_, steps) -> List.hd steps = step) pending in
+      eval (run_step step (Prog.fork p)) (List.map (fun (i, steps) -> (i, List.tl steps)) here);
+      diverge p later
+    | (_, []) :: _ -> assert false
+  in
+  eval p (List.mapi (fun i pl -> (i, remaining applied pl)) pipelines);
+  Array.to_list out
 
 let apply ?unroll_factor (level : t) (p : Prog.t) : Prog.t =
-  let r = rank level in
-  apply_custom ?unroll_factor ~unroll:(r >= 1) ~accum:(r >= 4) ~ind:(r >= 4)
-    ~search:(r >= 4) ~rename:(r >= 2) ~combine:(r >= 3) ~strength:(r >= 3)
-    ~thr:(r >= 3) p
+  match apply_all [ pipeline ?unroll_factor level ] p with
+  | [ p ] -> p
+  | _ -> assert false

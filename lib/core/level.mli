@@ -19,19 +19,32 @@ val includes : t -> t -> bool
 
 val cleanup : Prog.t -> Prog.t
 
-val apply_custom :
-  ?unroll_factor:int ->
-  unroll:bool ->
-  accum:bool ->
-  ind:bool ->
-  search:bool ->
-  rename:bool ->
-  combine:bool ->
-  strength:bool ->
-  thr:bool ->
-  Prog.t ->
-  Prog.t
-(** Pipeline with individual transformations switchable (used by the
-    leave-one-out ablation benchmarks). *)
+type step =
+  | Scalar  (** the conventional scalar optimizations (pass "conv") *)
+  | Unroll of int option  (** requested factor; [None]: {!Unroll.default_factor} *)
+  | Cleanup  (** the scalar cleanup run between and after transformations *)
+  | Accum_expand
+  | Ind_expand
+  | Search_expand
+  | Rename
+  | Combine
+  | Strength
+  | Tree_height
+
+val pipeline : ?unroll_factor:int -> t -> step list
+(** The level's transformations in order. Every level starts with
+    [Scalar], whatever the unroll factor; Lev1-Lev4 then share
+    [Unroll; Cleanup] and end with [Cleanup]. *)
+
+val apply_all : ?applied:step list -> step list list -> Prog.t -> Prog.t list
+(** [apply_all ~applied pipelines p] runs every pipeline on [p], which is
+    the result of the steps [applied] (default none); each pipeline must
+    start with [applied] (else [Invalid_argument]), and the rest of it is
+    run. A prefix shared by several pipelines runs once and is forked
+    ({!Prog.fork}) where they diverge, so each result prints, and carries
+    fresh-name counters, exactly as a separate run of its pipeline from
+    [p] would. Results come in the order of [pipelines], each with its
+    own counters; [p] is left untouched. *)
 
 val apply : ?unroll_factor:int -> t -> Prog.t -> Prog.t
+(** [apply_all [pipeline ?unroll_factor level] p]. *)

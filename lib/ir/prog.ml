@@ -24,6 +24,22 @@ type t = {
 let make_ctx () =
   { rgen = Reg.make_gen (); next_insn = 1; next_label = 1; next_loop = 1 }
 
+(* The counters are a program's only mutable state, so copying them
+   yields a program that continues exactly as the original would, without
+   either disturbing the other. *)
+let fork p =
+  let c = p.ctx in
+  {
+    p with
+    ctx =
+      {
+        rgen = Reg.copy_gen c.rgen;
+        next_insn = c.next_insn;
+        next_label = c.next_label;
+        next_loop = c.next_loop;
+      };
+  }
+
 let fresh_reg p cls = Reg.fresh p.ctx.rgen cls
 
 let fresh_insn_id ctx =

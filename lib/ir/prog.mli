@@ -22,6 +22,11 @@ type t = {
 
 val make_ctx : unit -> ctx
 
+val fork : t -> t
+(** The same program with a copy of its fresh-name counters: transforming
+    the fork issues exactly the names the original would have issued next,
+    and leaves the original untouched. *)
+
 val fresh_reg : t -> Reg.cls -> Reg.t
 
 val fresh_insn_id : ctx -> int

@@ -17,6 +17,8 @@ let fresh gen cls =
 
 let gen_count gen = gen.next
 
+let copy_gen gen = { next = gen.next }
+
 let compare a b = Stdlib.compare (a.id, a.cls) (b.id, b.cls)
 
 let equal a b = a.id = b.id && a.cls = b.cls

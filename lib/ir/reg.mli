@@ -15,6 +15,9 @@ val fresh : gen -> cls -> t
 val gen_count : gen -> int
 (** Upper bound (exclusive) on register ids issued so far. *)
 
+val copy_gen : gen -> gen
+(** An independent generator that issues the same ids [gen] would next. *)
+
 val compare : t -> t -> int
 
 val equal : t -> t -> bool

@@ -164,8 +164,12 @@ let subject_of_workload (w : Impact_workloads.Suite.t) : Experiment.subject =
    the cache disposition for the response record. *)
 let measure_cell ~store (rq : request) q =
   let compute () =
-    Compile.measure_with rq.rq_opts rq.rq_level rq.rq_machine
-      (Impact_fir.Lower.lower rq.rq_loop.Impact_workloads.Suite.ast)
+    (* From a fork of the loop's memoized conv prefix: identical to
+       [Compile.measure_with] on a fresh lowering. *)
+    Compile.schedule_and_measure_with rq.rq_opts rq.rq_level rq.rq_machine
+      (List.hd
+         (Experiment.transform_all_with rq.rq_opts [ rq.rq_level ]
+            (subject_of_workload rq.rq_loop)))
   in
   match store with
   | None -> ("off", compute ())

@@ -75,7 +75,7 @@ let same_measurement name (a : Compile.measurement) (b : Compile.measurement) =
 
 (* Sharing one [transform] across machines must equal a fresh
    [Compile.measure_with] per (level, machine) cell. *)
-let test_transform_cache_equiv () =
+let transform_cache_equiv opts wnames () =
   List.iter
     (fun wname ->
       let ast =
@@ -83,18 +83,94 @@ let test_transform_cache_equiv () =
       in
       List.iter
         (fun level ->
-          let shared = Compile.transform_with Opts.default level (Helpers.lower ast) in
+          let shared = Compile.transform_with opts level (Helpers.lower ast) in
           List.iter
             (fun machine ->
-              let cached = Compile.schedule_and_measure_with Opts.default level machine shared in
-              let fresh = Compile.measure_with Opts.default level machine (Helpers.lower ast) in
+              let cached = Compile.schedule_and_measure_with opts level machine shared in
+              let fresh = Compile.measure_with opts level machine (Helpers.lower ast) in
               same_measurement
                 (Printf.sprintf "%s/%s/%s" wname (Level.to_string level)
                    machine.Machine.name)
                 cached fresh)
             machines)
         Level.all)
-    [ "dotprod"; "maxval"; "SDS-1" ]
+    wnames
+
+let test_transform_cache_equiv =
+  transform_cache_equiv Opts.default [ "dotprod"; "maxval"; "SDS-1" ]
+
+(* Pipe draws fresh registers while scheduling: a transformed program
+   shared across machines must still give every machine the registers a
+   standalone compile gets. *)
+let test_pipe_transform_cache_equiv =
+  transform_cache_equiv (Opts.make ~sched:`Pipe ()) [ "add"; "dotprod"; "NAS-3"; "SDS-1" ]
+
+let ctx_counters (p : Prog.t) =
+  let c = p.Prog.ctx in
+  (Reg.gen_count c.Prog.rgen, c.Prog.next_insn, c.Prog.next_label, c.Prog.next_loop)
+
+let suite_subjects () =
+  List.map
+    (fun (w : Impact_workloads.Suite.t) ->
+      {
+        Experiment.sname = w.Impact_workloads.Suite.name;
+        group = Impact_workloads.Suite.ltype_to_string w.Impact_workloads.Suite.ltype;
+        ast = w.Impact_workloads.Suite.ast;
+      })
+    Impact_workloads.Suite.all
+
+(* Every level continued from a fork of the memoized conv prefix, with
+   the prefixes the levels share run once, must print and number exactly
+   like [Level.apply] on a fresh lowering, for every unroll factor. *)
+let test_prefix_sharing_equiv () =
+  Experiment.clear_base_cache ();
+  List.iter
+    (fun (s : Experiment.subject) ->
+      List.iter
+        (fun unroll_factor ->
+          let shared =
+            Level.apply_all ~applied:[ Level.Scalar ]
+              (List.map (Level.pipeline ?unroll_factor) Level.all)
+              (Experiment.conv_prefix s)
+          in
+          List.iter2
+            (fun level p ->
+              let fresh = Level.apply ?unroll_factor level (Helpers.lower s.Experiment.ast) in
+              let name =
+                Printf.sprintf "%s/%s/unroll %s" s.Experiment.sname (Level.to_string level)
+                  (match unroll_factor with None -> "-" | Some u -> string_of_int u)
+              in
+              Helpers.check_string (name ^ ": program") (Pp.prog_to_string fresh)
+                (Pp.prog_to_string p);
+              Helpers.check_bool (name ^ ": counters") true (ctx_counters fresh = ctx_counters p))
+            Level.all shared)
+        (None :: List.init 7 (fun k -> Some (k + 2))))
+    (suite_subjects ())
+
+(* The memo hands out forks: transforming or renumbering one must not
+   reach the memo, so the next fork starts from the same counters. *)
+let test_conv_prefix_forks () =
+  Experiment.clear_base_cache ();
+  let s = List.hd (suite_subjects ()) in
+  let p1 = Experiment.conv_prefix s in
+  let counters = ctx_counters p1 in
+  let text = Pp.prog_to_string p1 in
+  ignore (Prog.fresh_reg p1 Reg.Int);
+  ignore (Prog.fresh_insn_id p1.Prog.ctx);
+  ignore (Prog.fresh_label p1.Prog.ctx "T");
+  ignore (Prog.fresh_loop_id p1.Prog.ctx);
+  ignore (Level.apply Level.Lev4 p1);
+  let p2 = Experiment.conv_prefix s in
+  Helpers.check_bool "not the same ctx" true (p1.Prog.ctx != p2.Prog.ctx);
+  Helpers.check_bool "counters unchanged" true (ctx_counters p2 = counters);
+  Helpers.check_string "program unchanged" text (Pp.prog_to_string p2);
+  (* apply_all leaves its input untouched as well. *)
+  let before = ctx_counters p2 in
+  ignore (Level.apply_all ~applied:[ Level.Scalar ] [ Level.pipeline Level.Lev4 ] p2);
+  Helpers.check_bool "apply_all input untouched" true (ctx_counters p2 = before);
+  Alcotest.check_raises "pipeline must start with the applied steps"
+    (Invalid_argument "Level.apply_all: pipeline does not start with the applied steps")
+    (fun () -> ignore (Level.apply_all ~applied:[ Level.Cleanup ] [ Level.pipeline Level.Lev1 ] p2))
 
 let subjects_subset () =
   List.filter
@@ -427,6 +503,12 @@ let suite =
         Alcotest.test_case "run_subject matches per-cell measure" `Slow
           test_run_subject_vs_monolithic;
         Alcotest.test_case "base measurement cache" `Quick test_base_cache;
+        Alcotest.test_case "shared pipelined transform == monolithic compile" `Slow
+          test_pipe_transform_cache_equiv;
+        Alcotest.test_case "conv-prefix memo + apply_all == fresh Level.apply" `Slow
+          test_prefix_sharing_equiv;
+        Alcotest.test_case "conv-prefix memo hands out forks" `Quick
+          test_conv_prefix_forks;
       ] );
     ( "exec.oracle",
       [

@@ -391,6 +391,9 @@ let str_field name j k =
    so a closed connection's requests are fully accounted before the
    metrics record is built. *)
 let test_metrics_op () =
+  (* Cold compile caches, so the loads' latencies do not depend on which
+     tests ran before in this process. *)
+  Impact_core.Experiment.clear_base_cache ();
   let dir = fresh_dir () in
   let store = Store.open_store dir in
   let cfg =
