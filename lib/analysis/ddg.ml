@@ -36,7 +36,104 @@ let kind_to_string = function
 
 (* Conservative default: every destination is considered live at every
    branch target, i.e. no speculation. *)
-let no_speculation : Insn.t -> Reg.Set.t option = fun _ -> None
+let no_speculation : Insn.t -> (Reg.t -> bool) option = fun _ -> None
+
+(* Facts about one memory operation's address, computed once per
+   operation so that relating a pair compares integers. Linear values
+   are kept normalized (no zero coefficients), so two addresses differ
+   by a constant exactly when their coefficient maps are equal; [mcid]
+   interns the address's map and [mpcid] the map of its preheader-
+   substituted form (both -1 when the address is unknown). *)
+type mem_fact = {
+  mpos : int;
+  mstore : bool;
+  mbase : Operand.t;
+  maddr : Linval.lin option;
+  mcid : int;
+  mc : int;
+  mlab : string option;  (* [Linval.label_of_addr] *)
+  mnonstep : Linval.Key.t list;  (* keys with no per-iteration step *)
+  mstep : int;  (* [Linval.lin_step] of the address when [mnonstep = []] *)
+  mpcid : int;
+  mpc : int;
+}
+
+(* Dense ids for coefficient maps, equal ids for equal maps. *)
+let interner () : Linval.lin -> int =
+  let ids : ((Linval.Key.t * int) list, int) Hashtbl.t = Hashtbl.create 16 in
+  fun v ->
+    let key = Linval.terms v in
+    match Hashtbl.find_opt ids key with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length ids in
+      Hashtbl.add ids key id;
+      id
+
+let mem_fact (lv : Linval.t) ~pre_env ~intern p (i : Insn.t) : mem_fact =
+  let addr = Linval.address lv p in
+  let fact =
+    { mpos = p; mstore = Insn.is_store i; mbase = i.Insn.srcs.(0); maddr = addr; mcid = -1;
+      mc = 0; mlab = None; mnonstep = []; mstep = 0; mpcid = -1; mpc = 0 }
+  in
+  match addr with
+  | None -> fact
+  | Some x ->
+    let nonstep, step =
+      List.fold_left
+        (fun (ks, s) (k, coeff) ->
+          match k with
+          | Linval.Key.KLab _ -> (ks, s)
+          | Linval.Key.KOpq _ | Linval.Key.KTrip _ -> (k :: ks, s)
+          | Linval.Key.KReg r -> (
+            match Linval.iv_step lv r with
+            | Some d -> (ks, s + (coeff * d))
+            | None -> (k :: ks, s)))
+        ([], 0) (Linval.terms x)
+    in
+    let px = if Reg.Map.is_empty pre_env then x else Linval.subst pre_env x in
+    { fact with mcid = intern x; mc = x.Linval.c; mlab = Linval.label_of_addr x;
+                mnonstep = nonstep; mstep = step; mpcid = intern px; mpc = px.Linval.c }
+
+(* Fall back to preheader facts when body-local symbolic values cannot
+   relate two addresses: if their difference is invariant across
+   iterations and the preheader makes it a constant, that constant
+   decides aliasing for every iteration. The difference steps by the
+   difference of the steps unless a key without a step occurs in both
+   addresses (where it may cancel); only then is it formed exactly.
+   Substitution is linear, so the substituted difference is constant
+   exactly when the substituted forms have equal coefficients. *)
+let preheader_distance lv q m =
+  match q.maddr, m.maddr with
+  | Some x, Some y ->
+    let invariant =
+      match q.mnonstep, m.mnonstep with
+      | [], [] -> q.mstep = m.mstep
+      | qs, ms ->
+        let occurs ks (v : Linval.lin) =
+          List.exists (fun k -> Linval.KMap.mem k v.Linval.coeffs) ks
+        in
+        (occurs qs y || occurs ms x) && Linval.lin_step lv (Linval.sub x y) = Some 0
+    in
+    if invariant && q.mpcid = m.mpcid then Some (q.mpc - m.mpc) else None
+  | _ -> None
+
+let syntactic_disjoint b1 b2 =
+  match b1, b2 with
+  | Operand.Lab a, Operand.Lab b -> a <> b
+  | _ -> false
+
+(* Whether the earlier access [q] and the later [m] may touch the same
+   location: [Linval.relation] from the facts (equal coefficients are
+   [Same] or [Disjoint] by the constants, distinct array labels are
+   [Disjoint]), then the preheader distance, then the base operands. *)
+let may_alias lv q m =
+  if q.mcid >= 0 && q.mcid = m.mcid then q.mc = m.mc
+  else if (match q.mlab, m.mlab with Some a, Some b -> a <> b | _ -> false) then false
+  else
+    match preheader_distance lv q m with
+    | Some d -> d = 0
+    | None -> not (syntactic_disjoint q.mbase m.mbase)
 
 let build ?(live_at_target = no_speculation) ?(pre_env = Reg.Map.empty) (sb : Sb.t) : t =
   let n = Sb.length sb in
@@ -45,120 +142,123 @@ let build ?(live_at_target = no_speculation) ?(pre_env = Reg.Map.empty) (sb : Sb
     if esrc <> edst then edges := { esrc; edst; kind; lat } :: !edges
   in
   let lv = Linval.analyze sb in
-  let last_def : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let uses_since : (int, int list) Hashtbl.t = Hashtbl.create 32 in
-  (* (position, instruction, live set at its target or None) *)
-  let branches : (int * Insn.t * Reg.Set.t option) list ref = ref [] in
-  let stores_since_branch : int list ref = ref [] in
-  (* (position, destination) of earlier register-writing instructions:
-     a later branch pins every one whose destination is live at its
-     target (on the taken path the write must already have happened). *)
-  let defs_so_far : (int * Reg.t) list ref = ref [] in
-  let mem_ops : (int * bool * Linval.lin option * Operand.t) list ref = ref [] in
   let insn_positions = Sb.insn_positions sb in
   let last_insn_pos = match List.rev insn_positions with [] -> -1 | p :: _ -> p in
-  let syntactic_disjoint b1 b2 =
-    match b1, b2 with
-    | Operand.Lab a, Operand.Lab b -> a <> b
-    | _ -> false
+  (* Dense register indices for this segment (keyed by register id), the
+     uses and definitions of each position in that numbering, and the
+     destinations of speculatable instructions, whose liveness at each
+     branch target is looked up once per branch. *)
+  let reg_index : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  let index (r : Reg.t) =
+    match Hashtbl.find_opt reg_index r.Reg.id with
+    | Some k -> k
+    | None ->
+      let k = Hashtbl.length reg_index in
+      Hashtbl.add reg_index r.Reg.id k;
+      k
   in
-  (* Fall back to preheader facts when body-local symbolic values cannot
-     relate two addresses: if their difference is invariant across
-     iterations and the preheader makes it a constant, that constant
-     decides aliasing for every iteration. *)
-  let preheader_distance a1 a2 =
-    match a1, a2 with
-    | Some x, Some y ->
-      let d = Linval.sub x y in
-      if Linval.lin_step lv d <> Some 0 then None
-      else
-        let d' = Linval.subst pre_env d in
-        if Linval.is_const d' then Some d'.Linval.c else None
-    | _ -> None
-  in
-  let may_alias (a1 : Linval.lin option) (b1 : Operand.t) a2 b2 =
-    match Linval.relation a1 a2 with
-    | Linval.Disjoint -> false
-    | Linval.Same -> true
-    | Linval.May -> (
-      match preheader_distance a1 a2 with
-      | Some 0 -> true
-      | Some _ -> false
-      | None -> not (syntactic_disjoint b1 b2))
-  in
+  let uses_ix = Array.make n [] and defs_ix = Array.make n [] in
+  let spec_dsts = ref [] in
   Array.iteri
     (fun p item ->
       match item with
       | Block.Loop _ -> invalid_arg "Ddg.build: nested loop"
       | Block.Lbl _ -> ()
       | Block.Ins i ->
-        let lat_of = Machine.latency in
+        uses_ix.(p) <- List.map index (Insn.uses i);
+        defs_ix.(p) <- List.map index (Insn.defs i);
+        if not (Insn.is_branch i || Insn.is_store i) then
+          match i.Insn.dst with
+          | Some d -> spec_dsts := (index d, d) :: !spec_dsts
+          | None -> ())
+    sb.Sb.items;
+  let nregs = Hashtbl.length reg_index in
+  let last_def = Array.make nregs (-1) in
+  let uses_since = Array.make nregs [] in
+  (* Live destinations at a branch's target as a bitset over the dense
+     indices, or [None] when everything counts as live. *)
+  let live_bits (i : Insn.t) =
+    match live_at_target i with
+    | None -> None
+    | Some live ->
+      let bits = Bits.create nregs in
+      List.iter (fun (k, d) -> if live d then Bits.add bits k) !spec_dsts;
+      Some bits
+  in
+  (* (position, live destinations at its target), most recent first *)
+  let branches : (int * Bits.t option) list ref = ref [] in
+  let stores_since_branch : int list ref = ref [] in
+  (* (position, destination index) of earlier register-writing
+     instructions: a later branch pins every one whose destination is
+     live at its target (on the taken path the write must already have
+     happened). *)
+  let defs_so_far : (int * int) list ref = ref [] in
+  let intern = interner () in
+  (* earlier memory operations, most recent first *)
+  let mems : mem_fact list ref = ref [] in
+  Array.iteri
+    (fun p item ->
+      match item with
+      | Block.Loop _ | Block.Lbl _ -> ()
+      | Block.Ins i ->
         (* Register flow dependences: uses before defs. *)
         List.iter
-          (fun (r : Reg.t) ->
-            (match Hashtbl.find_opt last_def r.Reg.id with
-            | Some d -> (
-              match Sb.insn sb d with
-              | Some di -> add d p Flow (lat_of di.Insn.op)
-              | None -> ())
-            | None -> ());
-            let us = Option.value ~default:[] (Hashtbl.find_opt uses_since r.Reg.id) in
-            Hashtbl.replace uses_since r.Reg.id (p :: us))
-          (Insn.uses i);
+          (fun r ->
+            let d = last_def.(r) in
+            if d >= 0 then
+              (match Sb.insn sb d with
+              | Some di -> add d p Flow (Machine.latency di.Insn.op)
+              | None -> ());
+            uses_since.(r) <- p :: uses_since.(r))
+          uses_ix.(p);
         List.iter
-          (fun (r : Reg.t) ->
-            List.iter
-              (fun u -> add u p Anti 0)
-              (Option.value ~default:[] (Hashtbl.find_opt uses_since r.Reg.id));
-            (match Hashtbl.find_opt last_def r.Reg.id with
-            | Some d -> add d p Output 0
-            | None -> ());
-            Hashtbl.replace last_def r.Reg.id p;
-            Hashtbl.replace uses_since r.Reg.id [])
-          (Insn.defs i);
+          (fun r ->
+            List.iter (fun u -> add u p Anti 0) uses_since.(r);
+            if last_def.(r) >= 0 then add last_def.(r) p Output 0;
+            last_def.(r) <- p;
+            uses_since.(r) <- [])
+          defs_ix.(p);
         (* Memory dependences. *)
         if Insn.is_mem i then begin
-          let addr = Linval.address lv p in
-          let base = i.Insn.srcs.(0) in
-          let st = Insn.is_store i in
+          let m = mem_fact lv ~pre_env ~intern p i in
           List.iter
-            (fun (q, qst, qaddr, qbase) ->
-              if (st || qst) && may_alias qaddr qbase addr base then
-                add q p Mem (if qst then 1 else 0))
-            !mem_ops;
-          mem_ops := (p, st, addr, base) :: !mem_ops
+            (fun q ->
+              if (m.mstore || q.mstore) && may_alias lv q m then
+                add q.mpos p Mem (if q.mstore then 1 else 0))
+            !mems;
+          mems := m :: !mems
         end;
         (* Control dependences. *)
         if Insn.is_branch i then begin
-          (match !branches with (b, _, _) :: _ -> add b p Ctrl 0 | [] -> ());
+          (match !branches with (b, _) :: _ -> add b p Ctrl 0 | [] -> ());
           List.iter (fun s -> add s p Ctrl 0) !stores_since_branch;
           stores_since_branch := [];
-          let live = live_at_target i in
+          let live = live_bits i in
           (* Writes whose results the taken path needs may not sink below
              this branch. *)
           List.iter
             (fun (q, d) ->
               match live with
               | None -> add q p Ctrl 0
-              | Some set -> if Reg.Set.mem d set then add q p Ctrl 0)
+              | Some bits -> if Bits.mem bits d then add q p Ctrl 0)
             !defs_so_far;
-          branches := (p, i, live) :: !branches
+          branches := (p, live) :: !branches
         end
         else if Insn.is_store i then begin
-          (match !branches with (b, _, _) :: _ -> add b p Ctrl 0 | [] -> ());
+          (match !branches with (b, _) :: _ -> add b p Ctrl 0 | [] -> ());
           stores_since_branch := p :: !stores_since_branch
         end
         else begin
           (* Speculatable instruction: may not hoist above a branch whose
              off-path target needs its destination. *)
-          match i.Insn.dst with
-          | None -> ()
-          | Some d ->
+          match defs_ix.(p) with
+          | [] -> ()
+          | d :: _ ->
             List.iter
-              (fun (b, _, live) ->
+              (fun (b, live) ->
                 match live with
                 | None -> add b p Ctrl 0
-                | Some set -> if Reg.Set.mem d set then add b p Ctrl 0)
+                | Some bits -> if Bits.mem bits d then add b p Ctrl 0)
               !branches;
             defs_so_far := (p, d) :: !defs_so_far
         end)
@@ -187,22 +287,38 @@ let build ?(live_at_target = no_speculation) ?(pre_env = Reg.Map.empty) (sb : Sb
             insn_positions)
       | Block.Ins _ | Block.Loop _ -> ())
     sb.Sb.items;
+  (* Deduplicate keeping the max latency per (src, dst): bucket the edges
+     by source, then per source keep each destination's best latency in
+     a scratch array (latencies are non-negative, -1 means unseen). *)
+  let by_src = Array.make n [] in
+  List.iter (fun e -> by_src.(e.esrc) <- e :: by_src.(e.esrc)) !edges;
   let succs = Array.make n [] in
   let preds = Array.make n [] in
-  (* Deduplicate keeping the max latency per (src, dst). *)
-  let best : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      let k = (e.esrc, e.edst) in
-      match Hashtbl.find_opt best k with
-      | Some l when l >= e.lat -> ()
-      | _ -> Hashtbl.replace best k e.lat)
-    !edges;
-  Hashtbl.iter
-    (fun (s, d) lat ->
-      succs.(s) <- (d, lat) :: succs.(s);
-      preds.(d) <- (s, lat) :: preds.(d))
-    best;
+  let best = Array.make n (-1) in
+  Array.iteri
+    (fun s es ->
+      let touched =
+        List.fold_left
+          (fun acc e ->
+            let b = best.(e.edst) in
+            if b < 0 then begin
+              best.(e.edst) <- e.lat;
+              e.edst :: acc
+            end
+            else begin
+              if e.lat > b then best.(e.edst) <- e.lat;
+              acc
+            end)
+          [] es
+      in
+      List.iter
+        (fun d ->
+          let lat = best.(d) in
+          succs.(s) <- (d, lat) :: succs.(s);
+          preds.(d) <- (s, lat) :: preds.(d);
+          best.(d) <- -1)
+        touched)
+    by_src;
   { sb; nodes = insn_positions; edges = !edges; succs; preds }
 
 (* Longest-path height of each node to the end of the segment, counting

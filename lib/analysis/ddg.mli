@@ -21,18 +21,20 @@ type t = {
 
 val kind_to_string : kind -> string
 
-val no_speculation : Insn.t -> Reg.Set.t option
+val no_speculation : Insn.t -> (Reg.t -> bool) option
 (** Default [live_at_target]: treats every destination as live (no
     speculation). *)
 
 val build :
-  ?live_at_target:(Insn.t -> Reg.Set.t option) ->
+  ?live_at_target:(Insn.t -> (Reg.t -> bool) option) ->
   ?pre_env:Linval.lin Reg.Map.t ->
   Sb.t ->
   t
-(** [pre_env] supplies preheader-established relations between live-in
-    registers (e.g. expanded induction pointers), used to disambiguate
-    addresses whose difference is iteration-invariant. *)
+(** [live_at_target br] is [Some live] when [live r] tells whether [r]
+    is live at the branch's target, [None] to treat every destination as
+    live. [pre_env] supplies preheader-established relations between
+    live-in registers (e.g. expanded induction pointers), used to
+    disambiguate addresses whose difference is iteration-invariant. *)
 
 val heights : t -> int array
 (** Longest-latency path from each node to the segment end (the list

@@ -7,19 +7,11 @@
    bitsets ([Dense] below): registers are numbered 0..nregs-1 in
    [Reg.Ord] order, live sets are [Bits.t], and the backward fixpoint
    mutates them in place (live sets only grow under the union transfer
-   function). The classic [Reg.Set]-based record is reconstructed from
-   the dense result for callers that want symbolic sets; the hot
-   consumers (DCE, the register allocator) read the dense form
-   directly. *)
+   function). Every consumer reads the dense form: DCE and the register
+   allocator scan live-out bitsets, and the schedulers query the live
+   set at branch targets bit by bit. *)
 
 open Impact_ir
-
-type t = {
-  flat : Flatten.t;
-  live_in : Reg.Set.t array;
-  live_out : Reg.Set.t array;
-  exit_live : Reg.Set.t;
-}
 
 let successors (flat : Flatten.t) k =
   let n = Array.length flat.Flatten.code in
@@ -118,41 +110,24 @@ module Dense = struct
 
   let of_prog (p : Prog.t) : d =
     analyze ~exit_live:(List.map snd p.Prog.outputs) (Flatten.of_prog p)
+
+  (* Live set at a label: the live-in of the instruction the label points
+     at, or the exit-live set when the label is at the end of the code. *)
+  let live_at_label (d : d) lbl : Bits.t =
+    match Hashtbl.find_opt d.flat.Flatten.labels lbl with
+    | None -> invalid_arg ("Liveness.Dense.live_at_label: unknown label " ^ lbl)
+    | Some k -> if k >= Array.length d.live_in then d.exit_live else d.live_in.(k)
+
+  (* Membership query for the live set at a branch's target: one label
+     lookup per branch, then a dense index and a bit test per register.
+     A register the code never mentions is dead. *)
+  let live_at_target (d : d) (i : Insn.t) : Reg.t -> bool =
+    match i.Insn.target with
+    | None -> invalid_arg "Liveness.Dense.live_at_target: not a branch"
+    | Some l ->
+      let bits = live_at_label d l in
+      fun r ->
+        match Hashtbl.find_opt d.index_tbl (Reg.hash r) with
+        | Some k -> Bits.mem bits k
+        | None -> false
 end
-
-(* Reconstruct a [Reg.Set] from a dense bitset: ascending bit order is
-   ascending [Reg.Ord] order, so the sorted list converts linearly. *)
-let set_of_bits (regs : Reg.t array) (b : Bits.t) : Reg.Set.t =
-  let acc = ref [] in
-  Bits.iter (fun i -> acc := regs.(i) :: !acc) b;
-  (* [acc] is descending; [of_list] sorts, which is linear on sorted
-     input sizes like these. *)
-  Reg.Set.of_list !acc
-
-let of_dense (d : Dense.d) : t =
-  {
-    flat = d.Dense.flat;
-    live_in = Array.map (set_of_bits d.Dense.regs) d.Dense.live_in;
-    live_out = Array.map (set_of_bits d.Dense.regs) d.Dense.live_out;
-    exit_live = set_of_bits d.Dense.regs d.Dense.exit_live;
-  }
-
-let analyze ?(exit_live = Reg.Set.empty) (flat : Flatten.t) : t =
-  of_dense (Dense.analyze ~exit_live:(Reg.Set.elements exit_live) flat)
-
-(* Live set at a label: the live-in of the instruction the label points
-   at, or the exit-live set when the label is at the end of the code. *)
-let live_at_label (t : t) lbl =
-  match Hashtbl.find_opt t.flat.Flatten.labels lbl with
-  | None -> invalid_arg ("Liveness.live_at_label: unknown label " ^ lbl)
-  | Some k ->
-    if k >= Array.length t.live_in then t.exit_live else t.live_in.(k)
-
-(* Live set at the target of a branch instruction. *)
-let live_at_target (t : t) (i : Insn.t) =
-  match i.Insn.target with
-  | None -> invalid_arg "Liveness.live_at_target: not a branch"
-  | Some l -> live_at_label t l
-
-(* Liveness of a program: the program outputs are live at exit. *)
-let of_prog (p : Prog.t) : t = of_dense (Dense.of_prog p)

@@ -3,17 +3,9 @@
     allocator.
 
     The fixpoint runs on dense integer register indices and bitsets
-    ({!Dense}); the [Reg.Set]-based record is reconstructed from that
-    result for symbolic consumers. *)
+    ({!Dense}), and every consumer reads that form. *)
 
 open Impact_ir
-
-type t = {
-  flat : Flatten.t;
-  live_in : Reg.Set.t array;
-  live_out : Reg.Set.t array;
-  exit_live : Reg.Set.t;
-}
 
 val successors : Flatten.t -> int -> int list
 
@@ -42,18 +34,8 @@ module Dense : sig
 
   val of_prog : Prog.t -> d
   (** Dense liveness with the program outputs live at exit. *)
+
+  val live_at_target : d -> Insn.t -> Reg.t -> bool
+  (** [live_at_target d br] is the membership test of the live set at
+      the branch's target: [true] for a register live there. *)
 end
-
-val of_dense : Dense.d -> t
-(** Expand a dense result to [Reg.Set] arrays. *)
-
-val analyze : ?exit_live:Reg.Set.t -> Flatten.t -> t
-
-val live_at_label : t -> string -> Reg.Set.t
-(** Live set at a label (the exit-live set for a trailing label). *)
-
-val live_at_target : t -> Insn.t -> Reg.Set.t
-(** Live set at a branch's target. *)
-
-val of_prog : Prog.t -> t
-(** Liveness with the program outputs live at exit. *)

@@ -211,23 +211,25 @@ let health_record t ~line =
 
 (* One histogram as JSON: exact integer state (count, sum, sparse
    buckets) plus the extracted percentiles the dashboards want. The
-   overflow bucket renders its bound as [null]. *)
+   overflow bucket renders its bound as [null]. Every time field renders
+   as a JSON float, also an integral one like the 1 ms bound, so a
+   reader never parses it back as an int. Shared with the router. *)
 let hist_json (h : Obs.Hist.snapshot) =
   let le = ref [] and n = ref [] in
   for k = Obs.Hist.buckets - 1 downto 0 do
     if h.Obs.Hist.h_buckets.(k) > 0 then begin
       le :=
-        (if k < Array.length Obs.Hist.bounds then Json.Float Obs.Hist.bounds.(k)
+        (if k < Array.length Obs.Hist.bounds then Json.Real Obs.Hist.bounds.(k)
          else Json.Null)
         :: !le;
       n := Json.Int h.Obs.Hist.h_buckets.(k) :: !n
     end
   done;
-  let p q = Json.Float (Obs.Hist.percentile h q *. 1e3) in
+  let p q = Json.Real (Obs.Hist.percentile h q *. 1e3) in
   Json.Obj
     [
       ("count", Json.Int h.Obs.Hist.h_count);
-      ("sum_ms", Json.Float (float_of_int h.Obs.Hist.h_sum_ns *. 1e-6));
+      ("sum_ms", Json.Real (float_of_int h.Obs.Hist.h_sum_ns *. 1e-6));
       ("p50_ms", p 50.0);
       ("p90_ms", p 90.0);
       ("p99_ms", p 99.0);

@@ -128,3 +128,9 @@ val wait : t -> unit
     connection finished and closed, executor drained and joined. *)
 
 val stats : t -> stats
+
+val hist_json : Impact_obs.Obs.Hist.snapshot -> Impact_svc.Json.t
+(** One latency histogram as the [{"op": "metrics"}] snapshot renders it
+    (shared with the shard router): count, [sum_ms], the p50/p90/p99/
+    p99.9 fields in ms and the non-empty buckets' [le_s] bounds. Every
+    time field renders as a JSON float, also when integral. *)

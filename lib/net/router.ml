@@ -211,7 +211,8 @@ let per_shard parts =
     (List.map
        (fun (k, p) ->
          match p with
-         | Json.Obj members -> Json.Obj (("shard", Json.Int k) :: members)
+         | Json.Obj members ->
+           Json.floats_as_reals (Json.Obj (("shard", Json.Int k) :: members))
          | other -> Json.Obj [ ("shard", Json.Int k); ("snapshot", other) ])
        (List.sort compare parts))
 
@@ -251,31 +252,6 @@ let agg_health t ~line parts =
          ("per_shard", per_shard parts);
        ])
 
-(* Same rendering as the listener's metrics op (duplicated: it lives on
-   the other side of the process boundary in a sharded deployment). *)
-let hist_json (h : Obs.Hist.snapshot) =
-  let le = ref [] and n = ref [] in
-  for k = Obs.Hist.buckets - 1 downto 0 do
-    if h.Obs.Hist.h_buckets.(k) > 0 then begin
-      le :=
-        (if k < Array.length Obs.Hist.bounds then Json.Float Obs.Hist.bounds.(k)
-         else Json.Null)
-        :: !le;
-      n := Json.Int h.Obs.Hist.h_buckets.(k) :: !n
-    end
-  done;
-  let p q = Json.Float (Obs.Hist.percentile h q *. 1e3) in
-  Json.Obj
-    [
-      ("count", Json.Int h.Obs.Hist.h_count);
-      ("sum_ms", Json.Float (float_of_int h.Obs.Hist.h_sum_ns *. 1e-6));
-      ("p50_ms", p 50.0);
-      ("p90_ms", p 90.0);
-      ("p99_ms", p 99.0);
-      ("p999_ms", p 99.9);
-      ("buckets", Json.Obj [ ("le_s", Json.List !le); ("count", Json.List !n) ]);
-    ]
-
 let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
@@ -314,7 +290,8 @@ let agg_metrics t ~line parts =
          ( "histograms",
            Json.Obj
              (List.map
-                (fun (h : Obs.Hist.snapshot) -> (h.Obs.Hist.h_name, hist_json h))
+                (fun (h : Obs.Hist.snapshot) ->
+                  (h.Obs.Hist.h_name, Listener.hist_json h))
                 hists) );
          ("shards", Json.Int (Array.length t.links));
          ("per_shard", per_shard parts);

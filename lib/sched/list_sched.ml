@@ -12,12 +12,13 @@ type result = {
   issue_time : (int * int) list;  (* (insn id, cycle), in emission order *)
 }
 
-(* Schedule a label-free instruction segment. *)
-let schedule_segment (machine : Machine.t) ~live_at_target
-    ?(pre_env = Reg.Map.empty) (insns : Insn.t array) : result =
-  let items = Array.map (fun i -> Block.Ins i) insns in
-  let sb = Sb.make ~head:"\000head" ~exit_lbl:"\000exit" items in
-  let ddg = Ddg.build ~live_at_target ~pre_env sb in
+(* The label-free segment view the scheduler builds its graph on. *)
+let segment_sb (insns : Insn.t array) : Sb.t =
+  Sb.make ~head:"\000head" ~exit_lbl:"\000exit" (Array.map (fun i -> Block.Ins i) insns)
+
+(* List-schedule a label-free instruction segment on its dependence
+   graph. *)
+let schedule_graph (machine : Machine.t) (ddg : Ddg.t) (insns : Insn.t array) : result =
   let heights = Ddg.heights ddg in
   let n = Array.length insns in
   let scheduled = Array.make n (-1) in
@@ -87,6 +88,11 @@ let schedule_segment (machine : Machine.t) ~live_at_target
     issue_time = List.map (fun (k, c) -> (insns.(k).Insn.id, c)) emission;
   }
 
+(* Schedule a label-free instruction segment. *)
+let schedule_segment (machine : Machine.t) ~live_at_target
+    ?(pre_env = Reg.Map.empty) (insns : Insn.t array) : result =
+  schedule_graph machine (Ddg.build ~live_at_target ~pre_env (segment_sb insns)) insns
+
 (* Split a body into segments at labels and schedule each. Segments that
    still contain labels are impossible here by construction (splitting is
    at labels). *)
@@ -114,8 +120,8 @@ let schedule_body (machine : Machine.t) ~live_at_target
    are evaluated symbolically so the scheduler can disambiguate addresses
    built from expanded induction registers. *)
 let run (machine : Machine.t) (p : Prog.t) : Prog.t =
-  let live = Liveness.of_prog p in
-  let live_at_target i = Some (Liveness.live_at_target live i) in
+  let live = Liveness.Dense.of_prog p in
+  let live_at_target i = Some (Liveness.Dense.live_at_target live i) in
   let rec go_block (b : Block.t) : Block.t =
     let rec go acc = function
       | [] -> List.rev acc

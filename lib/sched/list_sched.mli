@@ -11,16 +11,24 @@ type result = {
   issue_time : (int * int) list;  (** (instruction id, cycle) in emission order *)
 }
 
+val segment_sb : Insn.t array -> Sb.t
+(** The superblock view of a label-free segment that
+    {!schedule_segment} builds its dependence graph on. *)
+
+val schedule_graph : Machine.t -> Ddg.t -> Insn.t array -> result
+(** List-schedule a label-free segment on a given dependence graph of
+    [segment_sb insns]. *)
+
 val schedule_segment :
   Machine.t ->
-  live_at_target:(Insn.t -> Reg.Set.t option) ->
+  live_at_target:(Insn.t -> (Reg.t -> bool) option) ->
   ?pre_env:Linval.lin Reg.Map.t ->
   Insn.t array ->
   result
 
 val schedule_body :
   Machine.t ->
-  live_at_target:(Insn.t -> Reg.Set.t option) ->
+  live_at_target:(Insn.t -> (Reg.t -> bool) option) ->
   ?pre_env:Linval.lin Reg.Map.t ->
   Block.t ->
   Block.t

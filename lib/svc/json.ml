@@ -3,6 +3,7 @@ type t =
   | Bool of bool
   | Int of int
   | Float of float
+  | Real of float
   | Str of string
   | List of t list
   | Obj of (string * t) list
@@ -266,11 +267,17 @@ let float_to_string f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.6f" f
 
+(* Like [float_to_string], but an integral value keeps a fraction digit
+   ("1.0", not "1") so a reader parses it back as a float. *)
+let real_to_string f =
+  if Float.is_integer f then Printf.sprintf "%.1f" f else float_to_string f
+
 let rec to_string = function
   | Null -> "null"
   | Bool b -> if b then "true" else "false"
   | Int n -> string_of_int n
   | Float f -> float_to_string f
+  | Real f -> real_to_string f
   | Str s -> "\"" ^ escape s ^ "\""
   | List items -> "[" ^ String.concat ", " (List.map to_string items) ^ "]"
   | Obj members ->
@@ -278,5 +285,11 @@ let rec to_string = function
     ^ String.concat ", "
         (List.map (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ to_string v) members)
     ^ "}"
+
+let rec floats_as_reals = function
+  | Float f -> Real f
+  | List items -> List (List.map floats_as_reals items)
+  | Obj members -> Obj (List.map (fun (k, v) -> (k, floats_as_reals v)) members)
+  | (Null | Bool _ | Int _ | Real _ | Str _) as v -> v
 
 let member k = function Obj members -> List.assoc_opt k members | _ -> None

@@ -11,6 +11,10 @@ type t =
   | Bool of bool
   | Int of int
   | Float of float
+  | Real of float
+      (** A float that always renders as a JSON float: an integral value
+          keeps a fraction digit ([1.0], not [1]). The parser never
+          produces it. *)
   | Str of string
   | List of t list
   | Obj of (string * t) list  (** members in input order *)
@@ -22,6 +26,10 @@ val parse : string -> (t, string) result
 val to_string : t -> string
 (** Compact (single-line) rendering. [Float] values print with enough
     digits to round-trip; integral floats print without an exponent. *)
+
+val floats_as_reals : t -> t
+(** Every [Float] in a value turned into a [Real], so a parsed document
+    re-renders its floats as floats. *)
 
 val member : string -> t -> t option
 (** Field lookup in an [Obj] ([None] for other constructors). *)

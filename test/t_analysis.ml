@@ -5,6 +5,7 @@
 open Impact_ir
 open Impact_analysis
 open Helpers
+module Liveness = Ref_liveness
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -326,7 +327,7 @@ let ddg_tests =
       let br = Build.br ctx Reg.Int Insn.Lt (Operand.Reg r1) (Operand.Int 0) "X" in
       let st = Build.store ctx Reg.Float (Operand.Lab "A") (Operand.Int 0) (Operand.Flt 1.0) in
       let ld = Build.load ctx Reg.Float f1 (Operand.Lab "B") (Operand.Int 0) in
-      let live_at_target _ = Some Reg.Set.empty in
+      let live_at_target _ = Some (fun _ -> false) in
       let ddg =
         Ddg.build ~live_at_target (sb_of [ Block.Ins br; Block.Ins st; Block.Ins ld ])
       in
@@ -339,7 +340,7 @@ let ddg_tests =
       let f1 = Reg.fresh ctx.Prog.rgen Reg.Float in
       let br = Build.br ctx Reg.Int Insn.Lt (Operand.Reg r1) (Operand.Int 0) "X" in
       let ld = Build.load ctx Reg.Float f1 (Operand.Lab "B") (Operand.Int 0) in
-      let live_at_target _ = Some (Reg.Set.singleton f1) in
+      let live_at_target _ = Some (Reg.equal f1) in
       let ddg = Ddg.build ~live_at_target (sb_of [ Block.Ins br; Block.Ins ld ]) in
       check_bool "branch -> load" true
         (List.exists (fun (d, _) -> d = 1) ddg.Ddg.succs.(0)));

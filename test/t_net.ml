@@ -475,6 +475,42 @@ let test_metrics_op () =
       (List.mem_assoc "stale" members && List.assoc "stale" members = Json.Int 0)
   | _ -> Alcotest.fail "health cache missing"
 
+(* A histogram whose samples all sit in the 1 ms bucket has p50 exactly
+   on that integral bound (and one sample at the 1 s bound): the shared
+   renderer must still print every time field as a JSON float, so it
+   parses back as [Json.Float], never [Json.Int]. *)
+let test_hist_integral_bound () =
+  let bucket_of s =
+    let k = ref 0 in
+    Array.iteri (fun i b -> if Float.abs (b -. s) < 1e-12 then k := i) Obs.Hist.bounds;
+    !k
+  in
+  let ms = bucket_of 1e-3 and sec = bucket_of 1.0 in
+  let h_buckets = Array.make Obs.Hist.buckets 0 in
+  h_buckets.(ms) <- 3;
+  h_buckets.(sec) <- 1;
+  let h =
+    { Obs.Hist.h_name = "serve.latency.t"; h_count = 4; h_sum_ns = 1_003_000_000;
+      h_buckets }
+  in
+  Helpers.check_bool "p50 on the 1 ms bound" true (Obs.Hist.percentile h 50.0 *. 1e3 = 1.0);
+  let text = Json.to_string (Listener.hist_json h) in
+  let j = parse_resp "hist" text in
+  let is_float name = function
+    | Json.Float _ -> ()
+    | v -> Alcotest.failf "%s not a float: %s in %s" name (Json.to_string v) text
+  in
+  List.iter (fun k -> is_float k (field "h" j k)) [ "sum_ms"; "p50_ms"; "p90_ms"; "p99_ms"; "p999_ms" ];
+  Helpers.check_bool "p50_ms = 1.0" true (field "h" j "p50_ms" = Json.Float 1.0);
+  (match field "h" j "buckets" with
+  | Json.Obj bs -> (
+    match List.assoc_opt "le_s" bs with
+    | Some (Json.List les) ->
+      Helpers.check_int "two buckets" 2 (List.length les);
+      List.iter (is_float "le_s") les
+    | _ -> Alcotest.fail "le_s missing")
+  | _ -> Alcotest.fail "buckets not an object")
+
 (* The access log carries exactly one record per answered request line
    — requests + too-long, blanks skipped — and every record is one
    JSON object with the lifecycle fields. *)
@@ -1032,6 +1068,8 @@ let suite =
       [
         Alcotest.test_case "metrics op: histograms, executor, counters" `Quick
           test_metrics_op;
+        Alcotest.test_case "histogram fields stay floats on integral bounds" `Quick
+          test_hist_integral_bound;
         Alcotest.test_case "access log: one record per answered line" `Quick
           test_access_log;
         Alcotest.test_case "trace sampling: 1-in-N connections get spans" `Quick

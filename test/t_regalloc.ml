@@ -1,8 +1,8 @@
 (* Tests for the measurement register allocator. *)
 
 open Impact_ir
-open Impact_regalloc
 open Helpers
+module Regalloc = Ref_regalloc
 
 let test name f = Alcotest.test_case name `Quick f
 

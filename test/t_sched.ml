@@ -126,7 +126,7 @@ let sched_tests =
       in
       let r =
         List_sched.schedule_segment Machine.issue_8
-          ~live_at_target:(fun _ -> Some Reg.Set.empty)
+          ~live_at_target:(fun _ -> Some (fun _ -> false))
           insns
       in
       (* load(2) + fadd(3) + fmul(3) = 8 *)
@@ -144,7 +144,7 @@ let sched_tests =
       let insns = Array.of_list (mk () @ mk () @ mk ()) in
       let r =
         List_sched.schedule_segment Machine.issue_8
-          ~live_at_target:(fun _ -> Some Reg.Set.empty)
+          ~live_at_target:(fun _ -> Some (fun _ -> false))
           insns
       in
       check_int "three chains in the time of one" 5 r.List_sched.makespan);
@@ -163,7 +163,7 @@ let sched_tests =
       in
       let r =
         List_sched.schedule_segment Machine.issue_8
-          ~live_at_target:(fun _ -> Some Reg.Set.empty)
+          ~live_at_target:(fun _ -> Some (fun _ -> false))
           insns
       in
       let order =
@@ -187,7 +187,7 @@ let sched_tests =
       in
       let r =
         List_sched.schedule_segment Machine.issue_8
-          ~live_at_target:(fun _ -> Some Reg.Set.empty)
+          ~live_at_target:(fun _ -> Some (fun _ -> false))
           insns
       in
       (match r.List_sched.items with

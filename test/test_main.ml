@@ -10,6 +10,7 @@ let () =
          T_ooo.suite;
          T_fir.suite;
          T_analysis.suite;
+         T_ddg.suite;
          T_opt.suite;
          T_trans.suite;
          T_sched.suite;
