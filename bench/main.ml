@@ -288,10 +288,11 @@ let pipe_eval (mlist : Machine.t list) (ss : Experiment.subject list) :
         Compile.transform_with bench_opts Level.Conv
           (Impact_fir.Lower.lower s.Experiment.ast)
       in
+      let listed = Compile.prepare_with bench_opts tp in
       let rows =
         List.map
           (fun machine ->
-            let lr = Impact_sim.Sim.run machine (Compile.schedule_with bench_opts machine tp) in
+            let lr = Impact_sim.Sim.run machine (Compile.schedule_prepared machine listed) in
             let piped, reports = Impact_pipe.Pipe.run_with_report machine tp in
             let pr = Impact_sim.Sim.run machine piped in
             {

@@ -399,13 +399,14 @@ let lm_slot r k = match List.assoc_opt k r.lmr_slots with Some n -> n | None -> 
 let level_matrix_rows w (opts : Opts.t) =
   List.concat_map
     (fun level ->
-      let tp =
+      let prepared =
         Compile.transform_with opts level
           (Impact_fir.Lower.lower w.Impact_workloads.Suite.ast)
+        |> Compile.prepare_with opts
       in
       List.map
         (fun machine ->
-          let scheduled = Compile.schedule_with opts machine tp in
+          let scheduled = Compile.schedule_prepared machine prepared in
           let r, prof = Impact_sim.Sim.run_profiled machine scheduled in
           let open Impact_sim.Sim in
           let interlock =
@@ -452,13 +453,14 @@ let print_level_matrix rows =
 let ooo_level_matrix_rows w (opts : Opts.t) ~(core : Machine.core) =
   List.concat_map
     (fun level ->
-      let tp =
+      let prepared =
         Compile.transform_with opts level
           (Impact_fir.Lower.lower w.Impact_workloads.Suite.ast)
+        |> Compile.prepare_with opts
       in
       List.map
         (fun machine ->
-          let scheduled = Compile.schedule_with opts machine tp in
+          let scheduled = Compile.schedule_prepared machine prepared in
           let r, prof = Impact_ooo.Ooo.run_profiled machine scheduled in
           let open Impact_ooo.Ooo in
           {

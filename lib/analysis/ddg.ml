@@ -339,10 +339,6 @@ let heights (t : t) : int array =
     order;
   h
 
-(* Length of the critical path through the segment (max height). *)
-let critical_path (t : t) : int =
-  Array.fold_left max 0 (heights t)
-
 (* ---- Loop-carried dependences and recurrence circuits ----
 
    A carried edge relates an instruction of iteration [j] to one of

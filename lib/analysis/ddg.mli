@@ -40,8 +40,6 @@ val heights : t -> int array
 (** Longest-latency path from each node to the segment end (the list
     scheduling priority). *)
 
-val critical_path : t -> int
-
 type cedge = { cesrc : int; cedst : int; ckind : kind; clat : int; cdist : int }
 (** A loop-carried dependence: the instruction at [cesrc] in iteration
     [j] must precede the one at [cedst] in iteration [j + cdist] by

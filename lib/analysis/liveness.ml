@@ -27,7 +27,7 @@ module Dense = struct
   type d = {
     flat : Flatten.t;
     regs : Reg.t array;  (* dense index -> register, ascending Reg.Ord *)
-    index_tbl : (int, int) Hashtbl.t;  (* Reg.hash -> dense index *)
+    index_tbl : int array;  (* Reg.hash -> dense index, -1 when absent *)
     live_in : Bits.t array;
     live_out : Bits.t array;
     exit_live : Bits.t;
@@ -35,32 +35,45 @@ module Dense = struct
 
   let nregs (d : d) = Array.length d.regs
 
-  let index_opt (d : d) (r : Reg.t) = Hashtbl.find_opt d.index_tbl (Reg.hash r)
+  let index_of tbl (r : Reg.t) =
+    let h = Reg.hash r in
+    if h < 0 || h >= Array.length tbl then -1 else tbl.(h)
+
+  let index_opt (d : d) (r : Reg.t) =
+    match index_of d.index_tbl r with -1 -> None | k -> Some k
 
   let reg (d : d) i = d.regs.(i)
 
   (* Dense numbering of every register mentioned by the code (defs and
      uses) or live at exit, in ascending [Reg.Ord] order — so ascending
-     bit iteration visits registers in [Reg.Set] order. *)
+     bit iteration visits registers in [Reg.Set] order. [Reg.hash] is
+     [id * 2 + cls], which ascends exactly as [Reg.compare]; so marking
+     each register in a table indexed by its hash and scanning the table
+     upwards numbers them in order, with no hashing and no sort. *)
   let number (code : Insn.t array) (exit_live : Reg.t list) =
-    let tbl = Hashtbl.create 256 in
-    let acc = ref [] in
-    let note (r : Reg.t) =
-      let h = Reg.hash r in
-      if not (Hashtbl.mem tbl h) then begin
-        Hashtbl.replace tbl h (-1);
-        acc := r :: !acc
-      end
+    let hi = ref (-1) in
+    let see (r : Reg.t) = if Reg.hash r > !hi then hi := Reg.hash r in
+    let iter_regs f =
+      Array.iter
+        (fun (i : Insn.t) ->
+          Option.iter f i.Insn.dst;
+          Array.iter (function Operand.Reg r -> f r | _ -> ()) i.Insn.srcs)
+        code;
+      List.iter f exit_live
     in
-    Array.iter
-      (fun (i : Insn.t) ->
-        List.iter note (Insn.defs i);
-        List.iter note (Insn.uses i))
-      code;
-    List.iter note exit_live;
-    let regs = Array.of_list !acc in
-    Array.sort Reg.compare regs;
-    Array.iteri (fun k r -> Hashtbl.replace tbl (Reg.hash r) k) regs;
+    iter_regs see;
+    let tbl = Array.make (!hi + 1) (-1) in
+    iter_regs (fun r -> tbl.(Reg.hash r) <- 0);
+    let n = ref 0 in
+    Array.iteri
+      (fun h k ->
+        if k = 0 then begin
+          tbl.(h) <- !n;
+          incr n
+        end)
+      tbl;
+    let regs = Array.make !n (Reg.of_hash 0) in
+    Array.iteri (fun h k -> if k >= 0 then regs.(k) <- Reg.of_hash h) tbl;
     (regs, tbl)
 
   let analyze ?(exit_live = []) (flat : Flatten.t) : d =
@@ -68,15 +81,22 @@ module Dense = struct
     let n = Array.length code in
     let regs, index_tbl = number code exit_live in
     let nr = Array.length regs in
-    let idx r = Hashtbl.find index_tbl (Reg.hash r) in
+    let idx r = index_tbl.(Reg.hash r) in
     let live_in = Array.init n (fun _ -> Bits.create nr) in
     let live_out = Array.init n (fun _ -> Bits.create nr) in
     let exit_bits = Bits.create nr in
     List.iter (fun r -> Bits.add exit_bits (idx r)) exit_live;
-    let defs = Array.map (fun i -> List.map idx (Insn.defs i)) code in
-    let uses = Array.map (fun i -> List.map idx (Insn.uses i)) code in
+    (* Dense index of each instruction's destination, -1 for none. *)
+    let def =
+      Array.map (fun (i : Insn.t) -> match i.Insn.dst with Some r -> idx r | None -> -1) code
+    in
     (* Uses are a constant lower bound of live-in; seed them once. *)
-    Array.iteri (fun k us -> List.iter (Bits.add live_in.(k)) us) uses;
+    Array.iteri
+      (fun k (i : Insn.t) ->
+        Array.iter
+          (function Operand.Reg r -> Bits.add live_in.(k) (idx r) | _ -> ())
+          i.Insn.srcs)
+      code;
     let succs = Array.init n (successors flat) in
     let falls_off =
       Array.init n (fun k ->
@@ -101,7 +121,7 @@ module Dense = struct
         if !grew then begin
           (* live_in(k) ∪= out \ defs(k) *)
           Bits.copy_into ~into:tmp out;
-          List.iter (Bits.remove tmp) defs.(k);
+          if def.(k) >= 0 then Bits.remove tmp def.(k);
           if Bits.union_into ~into:live_in.(k) tmp then changed := true
         end
       done
@@ -127,7 +147,6 @@ module Dense = struct
     | Some l ->
       let bits = live_at_label d l in
       fun r ->
-        match Hashtbl.find_opt d.index_tbl (Reg.hash r) with
-        | Some k -> Bits.mem bits k
-        | None -> false
+        let k = index_of d.index_tbl r in
+        k >= 0 && Bits.mem bits k
 end

@@ -11,12 +11,16 @@ val successors : Flatten.t -> int -> int list
 
 (** Dense form: registers numbered 0..nregs-1 in ascending [Reg.Ord]
     order (so ascending bit iteration matches [Reg.Set] order), live
-    sets as bitsets. This is what the compile hot paths consume. *)
+    sets as bitsets. The numbering is a table indexed by [Reg.hash],
+    which ascends as [Reg.compare] does. This is what the compile hot
+    paths consume. *)
 module Dense : sig
   type d = {
     flat : Flatten.t;
     regs : Reg.t array;  (** dense index -> register *)
-    index_tbl : (int, int) Hashtbl.t;  (** [Reg.hash] -> dense index *)
+    index_tbl : int array;
+        (** [Reg.hash] -> dense index, [-1] for a register the code never
+            mentions; sized by the largest hash mentioned *)
     live_in : Bits.t array;
     live_out : Bits.t array;
     exit_live : Bits.t;
@@ -26,7 +30,7 @@ module Dense : sig
 
   val index_opt : d -> Reg.t -> int option
   (** Dense index of a register, [None] when it neither occurs in the
-      code nor is live at exit. *)
+      code nor is live at exit (including a hash beyond [index_tbl]). *)
 
   val reg : d -> int -> Reg.t
 
@@ -37,5 +41,6 @@ module Dense : sig
 
   val live_at_target : d -> Insn.t -> Reg.t -> bool
   (** [live_at_target d br] is the membership test of the live set at
-      the branch's target: [true] for a register live there. *)
+      the branch's target: [true] for a register live there, [false] for
+      one the code never mentions. *)
 end

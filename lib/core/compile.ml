@@ -5,7 +5,9 @@
    read the machine description — and its output can be cached and
    shared across machine configurations. [schedule_and_measure] does
    the per-machine work: list scheduling for the target, execution-
-   driven simulation, and register-usage measurement. Each stage
+   driven simulation, and register-usage measurement. List scheduling
+   is itself split: [prepare_with] analyzes a transformed program once
+   and [schedule_prepared] emits it per machine. Each stage
    reports its wall time to [Impact_obs.Obs] for `bench json` and the
    bench stderr stage report.
 
@@ -35,16 +37,27 @@ let transform_all_with ?applied (opts : Opts.t) (levels : Level.t list) (p : Pro
 let transform_with (opts : Opts.t) (level : Level.t) (p : Prog.t) : Prog.t =
   match transform_all_with opts [ level ] p with [ p ] -> p | _ -> assert false
 
-let schedule_with (opts : Opts.t) (machine : Machine.t) (p : Prog.t) : Prog.t =
+type prepared = List_plan of Impact_sched.List_sched.plan | Pipe_input of Prog.t
+
+let schedule_span name f =
+  Impact_obs.Obs.stage "schedule" (fun () -> Impact_obs.Obs.span ~cat:"sched" name f)
+
+let prepare_with (opts : Opts.t) (p : Prog.t) : prepared =
   match opts.Opts.sched with
   | `List ->
-    Impact_obs.Obs.stage "schedule" (fun () ->
-      Impact_obs.Obs.span ~cat:"sched" "sched.list" (fun () ->
-        Impact_sched.List_sched.run machine p))
-  | `Pipe ->
+    List_plan (schedule_span "sched.prepare" (fun () -> Impact_sched.List_sched.prepare p))
+  | `Pipe -> Pipe_input p
+
+let schedule_prepared (machine : Machine.t) : prepared -> Prog.t = function
+  | List_plan plan ->
+    schedule_span "sched.list" (fun () -> Impact_sched.List_sched.emit machine plan)
+  | Pipe_input p ->
     (* Pipe draws fresh registers and loop ids: a fork keeps a program
        shared across machines from depending on which machine ran first. *)
     Impact_pipe.Pipe.run machine (Prog.fork p)
+
+let schedule_with (opts : Opts.t) (machine : Machine.t) (p : Prog.t) : Prog.t =
+  schedule_prepared machine (prepare_with opts p)
 
 (* Simulation dispatch on the machine's core axis: the in-order
    interlocked pipeline (lib/sim) or the out-of-order ROB/renaming core
@@ -55,9 +68,9 @@ let simulate ?fuel (machine : Machine.t) (p : Prog.t) : Impact_sim.Sim.result =
   | Machine.Inorder -> Impact_sim.Sim.run ?fuel machine p
   | Machine.Ooo _ -> Impact_ooo.Ooo.run ?fuel machine p
 
-let schedule_and_measure_with (opts : Opts.t) (level : Level.t)
-    (machine : Machine.t) (p : Prog.t) : measurement =
-  let compiled = schedule_with opts machine p in
+let measure_prepared (opts : Opts.t) (level : Level.t) (machine : Machine.t)
+    (prepared : prepared) : measurement =
+  let compiled = schedule_prepared machine prepared in
   let result =
     Impact_obs.Obs.stage "simulate" (fun () ->
       simulate ?fuel:opts.Opts.fuel machine compiled)
@@ -74,6 +87,10 @@ let schedule_and_measure_with (opts : Opts.t) (level : Level.t)
     usage;
     result;
   }
+
+let schedule_and_measure_with (opts : Opts.t) (level : Level.t)
+    (machine : Machine.t) (p : Prog.t) : measurement =
+  measure_prepared opts level machine (prepare_with opts p)
 
 let compile_with (opts : Opts.t) (level : Level.t) (machine : Machine.t)
     (p : Prog.t) : Prog.t =

@@ -28,8 +28,21 @@ val transform_all_with :
 val transform_with : Opts.t -> Level.t -> Prog.t -> Prog.t
 (** [transform_all_with] on one level. *)
 
+type prepared
+(** A transformed program made ready for scheduling on any machine:
+    for [`List], its {!Impact_sched.List_sched.plan} (analyzed once);
+    for [`Pipe], the program itself. *)
+
+val prepare_with : Opts.t -> Prog.t -> prepared
+(** The machine-independent half of {!schedule_with}, per
+    [Opts.sched]. *)
+
+val schedule_prepared : Machine.t -> prepared -> Prog.t
+(** The per-machine half of {!schedule_with}; a prepared program may be
+    scheduled for any number of machines. *)
+
 val schedule_with : Opts.t -> Machine.t -> Prog.t -> Prog.t
-(** Schedule a transformed program for the target machine per
+(** [schedule_prepared machine (prepare_with opts p)]. Schedule a transformed program for the target machine per
     [Opts.sched]: [`List] is plain list scheduling, [`Pipe]
     software-pipelines every eligible innermost loop via
     {!Impact_pipe.Pipe.run} (on a {!Prog.fork}, so [p] is never
@@ -46,6 +59,10 @@ val schedule_and_measure_with :
 (** Per-machine suffix on a transformed program: schedule, simulate
     (with [Opts.fuel], on the machine's {!Machine.core}), measure
     register usage. *)
+
+val measure_prepared : Opts.t -> Level.t -> Machine.t -> prepared -> measurement
+(** [schedule_and_measure_with] on a program prepared by
+    [prepare_with opts]. *)
 
 val compile_with : Opts.t -> Level.t -> Machine.t -> Prog.t -> Prog.t
 (** [schedule_with opts machine (transform_with opts level p)]. *)

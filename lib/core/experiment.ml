@@ -13,7 +13,9 @@
    that still need work continue from one such fork through
    [Compile.transform_all_with], which runs each pass prefix the levels
    share once and forks it where they diverge; each level's program is
-   then shared across all machine configurations. The issue-1 Conv base
+   then prepared for scheduling once ([Compile.prepare_with]: liveness,
+   preheader environments, dependence graphs) and that preparation is
+   shared across all machine configurations. The issue-1 Conv base
    measurement is served from a process-wide cache keyed by (subject
    name, unroll, fuel) so repeated sweeps (summary, ablation, issue
    sweep) pay for it once; [clear_base_cache] empties both. Every
@@ -179,8 +181,11 @@ let run_subject_full (opts : Opts.t) (machines : Machine.t list)
         (fun level -> List.exists (fun (_, ms) -> List.assoc level ms = None) cached)
         levels
     in
-    let transformed =
-      if missing = [] then [] else List.combine missing (transform_all_with opts missing s)
+    let prepared =
+      if missing = [] then []
+      else
+        List.combine missing
+          (List.map (Compile.prepare_with opts) (transform_all_with opts missing s))
     in
     let poisons = ref [] in
     let cell_of_measurement level machine (m : Compile.measurement) =
@@ -204,8 +209,8 @@ let run_subject_full (opts : Opts.t) (machines : Machine.t list)
               | Some m -> Some (cell_of_measurement level machine m)
               | None -> (
                 match
-                  Compile.schedule_and_measure_with opts level machine
-                    (List.assoc level transformed)
+                  Compile.measure_prepared opts level machine
+                    (List.assoc level prepared)
                 with
                 | m ->
                   cache_store s opts level machine m;

@@ -79,11 +79,12 @@ val run_subject_with :
   cell list
 (** Evaluate one subject. The machine-independent transform prefix of
     every level not fully served from the measurement cache is computed
-    once, from one fork of {!conv_prefix} ({!transform_all_with}), and
-    shared across machines; cells that time out are reported through
+    once, from one fork of {!conv_prefix} ({!transform_all_with}),
+    prepared for scheduling once ({!Compile.prepare_with}), and shared
+    across machines; cells that time out are reported through
     [on_poison] (default: a stderr warning) and omitted from the
     result. [Opts.sched] selects the per-machine scheduler
-    ({!Compile.schedule_with}); the base measurement is always
+    ({!Compile.schedule_prepared}); the base measurement is always
     list-scheduled. *)
 
 val run_all_with :

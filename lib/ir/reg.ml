@@ -25,6 +25,8 @@ let equal a b = a.id = b.id && a.cls = b.cls
 
 let hash a = (a.id * 2) + (match a.cls with Int -> 0 | Float -> 1)
 
+let of_hash h = { id = h / 2; cls = (if h land 1 = 0 then Int else Float) }
+
 let cls_to_string = function Int -> "i" | Float -> "f"
 
 let to_string r = Printf.sprintf "r%d%s" r.id (cls_to_string r.cls)

@@ -23,6 +23,11 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : t -> int
+(** [id * 2] plus 0 for [Int], 1 for [Float]: injective on non-negative
+    ids, and ascending exactly as {!compare}. *)
+
+val of_hash : int -> t
+(** Inverse of {!hash} on non-negative ids. *)
 
 val cls_to_string : cls -> string
 

@@ -100,10 +100,13 @@ let build_dense (p : Prog.t) : dgraph =
   let dregs = Array.init nr (Liveness.Dense.reg live) in
   let cls_of = Array.map (fun (r : Reg.t) -> r.Reg.cls) dregs in
   let order_tbl : (Reg.t, unit) Hashtbl.t = Hashtbl.create 64 in
+  (* [present] flips exactly when a register first enters the order
+     table, so the table is touched once per node, not per edge. *)
   let node_seen i =
-    present.(i) <- true;
-    let r = dregs.(i) in
-    if not (Hashtbl.mem order_tbl r) then Hashtbl.replace order_tbl r ()
+    if not present.(i) then begin
+      present.(i) <- true;
+      Hashtbl.add order_tbl dregs.(i) ()
+    end
   in
   (* Bitset adjacency matrix dedups edge insertions. *)
   let mat = Bits.create (nr * nr) in
@@ -270,9 +273,3 @@ let measure (p : Prog.t) : usage =
     Impact_obs.Obs.count ~n:(pops_i + pops_f) "regalloc.simplify_steps"
   end;
   { int_used = ints; float_used = floats }
-
-(* Register usage of a single loop nest region: measured over the whole
-   program (the paper reports "total integer and floating point registers
-   utilized in the loop nest", and our programs are single loop nests
-   plus setup code). *)
-let measure_loop = measure

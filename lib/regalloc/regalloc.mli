@@ -15,10 +15,6 @@ val measure : Prog.t -> usage
     register indices, compact adjacency arrays built in one backward
     pass, and heap-based simplify. *)
 
-val measure_loop : Prog.t -> usage
-(** Alias of {!measure}: the paper reports usage per loop nest, and our
-    programs are single loop nests plus setup code. *)
-
 val coloring_fast : Prog.t -> (Reg.t * int) list
 (** Full assignment, for differential validation against the reference
     allocator the tests keep. *)

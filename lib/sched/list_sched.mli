@@ -34,7 +34,20 @@ val schedule_body :
   Block.t
 (** Split a body into label-delimited segments and schedule each. *)
 
-val run : Machine.t -> Prog.t -> Prog.t
-(** Schedule every innermost loop body. Superblock formation should have
+type plan
+(** The machine-independent half of scheduling a program: each
+    segment's dependence graph and heights, built once from the
+    program's liveness and each innermost loop's preheader
+    environment. *)
+
+val prepare : Prog.t -> plan
+(** Analyze every innermost loop body. Superblock formation should have
     run first; preheader items are evaluated symbolically so expanded
     induction pointers disambiguate. *)
+
+val emit : Machine.t -> plan -> Prog.t
+(** List-schedule a prepared program for one machine. A plan may be
+    emitted for any number of machines. *)
+
+val run : Machine.t -> Prog.t -> Prog.t
+(** [emit machine (prepare p)]. *)

@@ -284,6 +284,77 @@ let liveness_tests =
       check_bool "r1 live at L" true (Reg.Set.mem r1 (Liveness.live_at_label live "L")));
   ]
 
+(* The dense numbering: a table indexed by [Reg.hash], scanned upwards. *)
+let dense_numbering_tests =
+  [
+    test "dense registers ascend in Reg.compare order on the corpus" (fun () ->
+      List.iter
+        (fun (w : Impact_workloads.Suite.t) ->
+          List.iter
+            (fun p ->
+              let d = Liveness.Dense.of_prog p in
+              let regs = d.Liveness.Dense.regs in
+              Array.iteri
+                (fun k r ->
+                  if k > 0 && Reg.compare regs.(k - 1) r >= 0 then
+                    Alcotest.failf "%s: %s numbered after %s" w.Impact_workloads.Suite.name
+                      (Reg.to_string r) (Reg.to_string regs.(k - 1));
+                  if Liveness.Dense.index_opt d r <> Some k then
+                    Alcotest.failf "%s: %s does not map back to %d"
+                      w.Impact_workloads.Suite.name (Reg.to_string r) k)
+                regs;
+              (* Every mentioned register is numbered. *)
+              Block.iter_insns
+                (fun i ->
+                  List.iter
+                    (fun r ->
+                      if Liveness.Dense.index_opt d r = None then
+                        Alcotest.failf "%s: %s unnumbered" w.Impact_workloads.Suite.name
+                          (Reg.to_string r))
+                    (Insn.defs i @ Insn.uses i))
+                p.Prog.entry)
+            (Impact_core.Compile.transform_all_with Impact_core.Opts.default
+               Impact_core.Level.all (lower w.Impact_workloads.Suite.ast)))
+        Impact_workloads.Suite.all);
+    test "unmentioned registers are dead and unnumbered, in and beyond the table" (fun () ->
+      let b = irb () in
+      let r1 = reg b Reg.Int in
+      let gap = reg b Reg.Int in
+      let r3 = reg b Reg.Int in
+      let ctx = b.ctx in
+      let init = Build.imov ctx r1 (Operand.Int 0) in
+      let inc = Build.ib ctx Insn.Add r3 (Operand.Reg r1) (Operand.Int 1) in
+      let back = Build.br ctx Reg.Int Insn.Le (Operand.Reg r3) (Operand.Int 9) "L" in
+      output b "x" r3;
+      let p =
+        prog_of b
+          [
+            Block.Ins init;
+            Block.Loop
+              { Block.lid = 1; head = "L"; exit_lbl = "X"; meta = Block.no_meta;
+                body = [ Block.Ins inc; Block.Ins back ] };
+          ]
+      in
+      let d = Liveness.Dense.of_prog p in
+      let live = Liveness.Dense.live_at_target d back in
+      check_bool "r1 live at L" true (live r1);
+      let size = Array.length d.Liveness.Dense.index_tbl in
+      let unmentioned =
+        [
+          ("gap below the largest hash", gap);
+          ("other class of a mentioned id", { r1 with Reg.cls = Reg.Float });
+          ("hash at the table size", Reg.of_hash size);
+          ("hash far beyond the table", { Reg.id = 1_000_000; cls = Reg.Float });
+        ]
+      in
+      List.iter
+        (fun (what, r) ->
+          check_bool (what ^ ": not numbered") true (Liveness.Dense.index_opt d r = None);
+          check_bool (what ^ ": dead at L") false (live r))
+        unmentioned;
+      check_int "r1 and r3 numbered" 2 (Liveness.Dense.nregs d));
+  ]
+
 let ddg_tests =
   let edge_exists ddg a b =
     List.exists (fun (d, _) -> d = b) ddg.Ddg.succs.(a)
@@ -299,7 +370,7 @@ let ddg_tests =
       (match ddg.Ddg.succs.(0) with
       | [ (1, 2) ] -> ()
       | _ -> Alcotest.fail "expected flow edge with load latency 2");
-      check_int "critical path" 5 (Ddg.critical_path ddg));
+      check_int "critical path" 5 (Array.fold_left max 0 (Ddg.heights ddg)));
     test "anti edge orders use before redefinition" (fun () ->
       let ctx = Prog.make_ctx () in
       let r1 = Reg.fresh ctx.Prog.rgen Reg.Int in
@@ -452,6 +523,7 @@ let suite =
     ("analysis.dom", dom_tests);
     ("analysis.linval", linval_tests);
     ("analysis.liveness", liveness_tests);
+    ("analysis.dense-numbering", dense_numbering_tests);
     ("analysis.ddg", ddg_tests);
     ("analysis.classify", classify_tests);
   ]

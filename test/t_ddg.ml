@@ -42,27 +42,12 @@ let runs (body : Block.t) : Insn.t array list =
   in
   go [] [] body
 
-(* Replay [List_sched.run machine p]'s traversal, calling [on_loop] with
-   each innermost loop and its preheader environment before the loop is
-   scheduled (a scheduled loop is part of a later loop's preheader). *)
+(* Replay the list scheduler's traversal ([Ref_list_sched.run]), calling
+   [on_loop] with each innermost loop and its preheader environment
+   before the loop is scheduled (a scheduled loop is part of a later
+   loop's preheader). *)
 let replay_list_sched machine (p : Prog.t) on_loop =
-  let live = Liveness.Dense.of_prog p in
-  let live_at_target i = Some (Liveness.Dense.live_at_target live i) in
-  let rec go_block (b : Block.t) : Block.t =
-    let rec go acc = function
-      | [] -> List.rev acc
-      | Block.Loop l :: rest when Block.is_innermost l ->
-        let pre_env = Linval.env_of_items (List.rev acc) in
-        on_loop ~pre_env l;
-        let body = List_sched.schedule_body machine ~live_at_target ~pre_env l.Block.body in
-        go (Block.Loop { l with Block.body } :: acc) rest
-      | Block.Loop l :: rest ->
-        go (Block.Loop { l with Block.body = go_block l.Block.body } :: acc) rest
-      | ((Block.Ins _ | Block.Lbl _) as item) :: rest -> go (item :: acc) rest
-    in
-    go [] b
-  in
-  ignore (go_block p.Prog.entry)
+  ignore (Ref_list_sched.run ~on_loop machine p)
 
 (* The branch-free body Pipe extracts from a loop whose only branch is
    its closing back-branch. *)

@@ -212,4 +212,130 @@ let sched_tests =
         (List.filter Block.is_innermost (Block.loops p.Prog.entry)));
   ]
 
-let suite = [ ("sched.formation", formation_tests); ("sched.list", sched_tests) ]
+(* ---- prepare/emit against the reference traversal ---- *)
+
+let oracle_machines = [ Machine.issue_1; Machine.issue_2; Machine.issue_4; Machine.issue_8 ]
+
+(* 40 kernels x Conv..Lev4 x unroll {default, 2, 4, 8}, transformed. *)
+let oracle_programs =
+  lazy
+    (List.concat_map
+       (fun (w : Impact_workloads.Suite.t) ->
+         List.concat_map
+           (fun unroll ->
+             let opts = Impact_core.Opts.make ?unroll () in
+             List.map2
+               (fun level p ->
+                 ( Printf.sprintf "%s/%s/u%s" w.Impact_workloads.Suite.name
+                     (Impact_core.Level.to_string level)
+                     (match unroll with None -> "-" | Some u -> string_of_int u),
+                   p ))
+               Impact_core.Level.all
+               (Impact_core.Compile.transform_all_with opts Impact_core.Level.all
+                  (lower w.Impact_workloads.Suite.ast)))
+           [ None; Some 2; Some 4; Some 8 ])
+       Impact_workloads.Suite.all)
+
+(* One [prepare] emitted for every machine, and [run] per machine, print
+   exactly as the reference traversal's schedule. *)
+let test_prepare_emit () =
+  List.iter
+    (fun (name, p) ->
+      let plan = List_sched.prepare p in
+      List.iter
+        (fun machine ->
+          let want = Pp.prog_to_string (Ref_list_sched.run machine p) in
+          let where = Printf.sprintf "%s on %s" name machine.Machine.name in
+          if Pp.prog_to_string (List_sched.emit machine plan) <> want then
+            Alcotest.failf "%s: prepare/emit differs from the reference" where;
+          if Pp.prog_to_string (List_sched.run machine p) <> want then
+            Alcotest.failf "%s: run differs from the reference" where)
+        oracle_machines)
+    (Lazy.force oracle_programs)
+
+(* An environment with its opaque keys renamed by rank: separate
+   evaluations of the same items draw different (fresh) synthetic keys
+   in the same order. *)
+let canonical_env (env : Impact_analysis.Linval.lin Reg.Map.t) =
+  let open Impact_analysis.Linval in
+  let opaque =
+    Reg.Map.fold
+      (fun _ v acc ->
+        List.fold_left
+          (fun acc (k, _) -> match k with Key.KOpq n -> n :: acc | _ -> acc)
+          acc (terms v))
+      env []
+    |> List.sort_uniq compare
+  in
+  let rank n =
+    let rec go k = function x :: rest -> if x = n then k else go (k + 1) rest | [] -> k in
+    go 0 opaque
+  in
+  Reg.Map.map
+    (fun v ->
+      ( List.sort compare
+          (List.map
+             (fun (k, c) -> ((match k with Key.KOpq n -> Key.KOpq (rank n) | k -> k), c))
+             (terms v)),
+        v.c ))
+    env
+
+(* The preceding items of every innermost loop in its parent block, in
+   traversal order. *)
+let preheaders (p : Prog.t) : Block.item list list =
+  let out = ref [] in
+  let rec go_block (b : Block.t) =
+    ignore
+      (List.fold_left
+         (fun seen it ->
+           (match it with
+           | Block.Loop l when Block.is_innermost l -> out := List.rev seen :: !out
+           | Block.Loop l -> go_block l.Block.body
+           | _ -> ());
+           it :: seen)
+         [] b)
+  in
+  go_block p.Prog.entry;
+  List.rev !out
+
+(* [prepare] reads each preheader unscheduled, the reference traversal
+   reads it with the preceding loops already scheduled: the two
+   environments agree on every innermost loop and machine. *)
+let test_preheader_env () =
+  let loops = ref 0 in
+  List.iter
+    (fun (name, p) ->
+      let unscheduled = List.map Impact_analysis.Linval.env_of_items (preheaders p) in
+      List.iter
+        (fun machine ->
+          let scheduled = ref [] in
+          ignore
+            (Ref_list_sched.run machine p ~on_loop:(fun ~pre_env _ ->
+               scheduled := pre_env :: !scheduled));
+          let scheduled = List.rev !scheduled in
+          check_int (name ^ ": innermost loops") (List.length unscheduled)
+            (List.length scheduled);
+          List.iter2
+            (fun a b ->
+              incr loops;
+              if not (Reg.Map.equal ( = ) (canonical_env a) (canonical_env b)) then
+                Alcotest.failf "%s on %s: preheader environments differ" name
+                  machine.Machine.name)
+            unscheduled scheduled)
+        oracle_machines)
+    (Lazy.force oracle_programs);
+  check_bool "loops compared" true (!loops > 1000)
+
+let oracle_tests =
+  [
+    test "prepare/emit and run == reference on 40 kernels x levels x unroll x issue 1/2/4/8"
+      test_prepare_emit;
+    test "preheader environment: unscheduled == scheduled items" test_preheader_env;
+  ]
+
+let suite =
+  [
+    ("sched.formation", formation_tests);
+    ("sched.list", sched_tests);
+    ("sched.list-oracle", oracle_tests);
+  ]
